@@ -7,19 +7,29 @@ build fails, or the built module fails the smoke test.  The caller
 (:mod:`repro.core.flatstate`) treats ``None`` as "stay pure Python", so
 importing the package never raises.
 
+A fallback nobody asked for is never silent: unless
+``REPRO_NO_COMPILED=1`` requested it, ``load()`` says so once on stderr
+(the pure kernels are 2-3x slower), and :data:`LOAD_ERROR` is what
+``repro serve`` reports as ``kernel.reason``.
+
 The extension is compiled with the system C compiler into
-``_build/`` next to this file and cached there; it is rebuilt whenever
-``fastpath.c`` is newer than the cached shared object.  There is
-deliberately no setuptools machinery: one translation unit, one
+``_build/`` next to this file and cached there under a name that
+carries a content hash of ``fastpath.c``, so a checkout that was copied
+(``cp -r``, rsync, a container ``COPY`` -- anything that scrambles
+mtimes) can never load a shared object built from other source.  There
+is deliberately no setuptools machinery: one translation unit, one
 compiler invocation, works from a plain source checkout.
 """
 
 from __future__ import annotations
 
+import glob
+import hashlib
 import importlib.util
 import os
 import shutil
 import subprocess
+import sys
 import sysconfig
 from typing import Optional
 
@@ -30,10 +40,19 @@ _BUILD_DIR = os.path.join(_PKG_DIR, "_build")
 #: Why the last ``load()`` returned None (for diagnostics / bench JSON).
 LOAD_ERROR: Optional[str] = None
 
+#: The kernels :mod:`repro.core.flatstate` rebinds to the compiled module.
+KERNELS = (
+    "serve_commit", "serve_step", "activate", "activate_step",
+    "activate_ls", "passivate_ls", "ls_descend", "elig_insert",
+    "elig_remove", "elig_update", "elig_requeue", "elig_query",
+)
+
 
 def _so_path() -> str:
+    with open(_SOURCE, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()[:12]
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    return os.path.join(_BUILD_DIR, f"fastpath_c{suffix}")
+    return os.path.join(_BUILD_DIR, f"fastpath_c-{digest}{suffix}")
 
 
 def _compiler() -> Optional[str]:
@@ -49,14 +68,13 @@ def _compiler() -> Optional[str]:
 
 
 def build(force: bool = False) -> str:
-    """Compile ``fastpath.c`` (if stale) and return the shared-object path.
+    """Compile ``fastpath.c`` (unless this exact source already was) and
+    return the shared-object path.
 
     Raises on any failure; :func:`load` turns that into a ``None``.
     """
     so = _so_path()
-    if not force and os.path.exists(so) and (
-        os.path.getmtime(so) >= os.path.getmtime(_SOURCE)
-    ):
+    if not force and os.path.exists(so):
         return so
     cc = _compiler()
     if cc is None:
@@ -69,6 +87,12 @@ def build(force: bool = False) -> str:
     if proc.returncode != 0:
         raise RuntimeError(f"compile failed: {proc.stderr.strip()[:2000]}")
     os.replace(tmp, so)  # atomic: parallel builders race benignly
+    for stale in glob.glob(os.path.join(_BUILD_DIR, "fastpath_c*")):
+        if stale != so and not stale.endswith(".tmp"):
+            try:
+                os.unlink(stale)  # builds of other source, never loadable again
+            except OSError:
+                pass
     return so
 
 
@@ -131,9 +155,17 @@ def load():
             raise ImportError(f"cannot load {so}")
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
+        missing = [name for name in KERNELS if not hasattr(mod, name)]
+        if missing:
+            raise ImportError(f"{so} lacks kernels {missing}")
         _smoke_test(mod)
     except Exception as exc:  # noqa: BLE001 - any failure means "pure"
         LOAD_ERROR = f"{type(exc).__name__}: {exc}"
+        print(
+            "repro: compiled fast path unavailable, running the pure-Python "
+            f"kernels (2-3x slower): {LOAD_ERROR}",
+            file=sys.stderr,
+        )
         return None
     LOAD_ERROR = None
     return mod

@@ -42,7 +42,7 @@ are untouched.
 from __future__ import annotations
 
 import heapq as _heapq
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 INF = float("inf")
 NAN = float("nan")
@@ -1510,25 +1510,15 @@ class HeapView:
 # protocol and mirror the Python expressions exactly, so the choice is
 # digest-invisible (CI runs the golden suite under both).
 
-COMPILED = False
+from repro import _fastpath  # noqa: E402
 
-try:  # pragma: no cover - exercised via the compiled CI leg
-    from repro._fastpath import load as _load_fastpath
+_fast = _fastpath.load()  # never raises; says so on stderr when it falls back
+COMPILED = _fast is not None
+if COMPILED:  # pragma: no cover - exercised via the compiled CI leg
+    for _name in _fastpath.KERNELS:
+        globals()[_name] = getattr(_fast, _name)
 
-    _fast = _load_fastpath()
-    if _fast is not None:
-        serve_commit = _fast.serve_commit  # noqa: F811
-        serve_step = _fast.serve_step  # noqa: F811
-        activate = _fast.activate  # noqa: F811
-        activate_step = _fast.activate_step  # noqa: F811
-        activate_ls = _fast.activate_ls  # noqa: F811
-        passivate_ls = _fast.passivate_ls  # noqa: F811
-        ls_descend = _fast.ls_descend  # noqa: F811
-        elig_insert = _fast.elig_insert  # noqa: F811
-        elig_remove = _fast.elig_remove  # noqa: F811
-        elig_update = _fast.elig_update  # noqa: F811
-        elig_requeue = _fast.elig_requeue  # noqa: F811
-        elig_query = _fast.elig_query  # noqa: F811
-        COMPILED = True
-except Exception:  # noqa: BLE001 - any failure means "stay pure Python"
-    COMPILED = False
+
+def kernel_info() -> Dict[str, Any]:
+    """Which kernels are live and, when the pure ones, why."""
+    return {"compiled": COMPILED, "reason": _fastpath.LOAD_ERROR}

@@ -236,6 +236,14 @@ def _merge_numeric(docs: List[Dict[str, Any]]) -> Dict[str, Any]:
     return merged
 
 
+def merge_dataplanes(planes: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """Per-shard ``Dataplane.summary()`` documents as one: counters sum,
+    the high-water mark is a maximum."""
+    merged = _merge_numeric(planes)
+    merged["burst_max"] = max(plane.get("burst_max", 0) for plane in planes)
+    return merged
+
+
 def merge_snapshots(docs: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Merge per-shard :func:`snapshot` documents into one cluster view.
 
@@ -314,7 +322,7 @@ def merge_snapshots(docs: List[Dict[str, Any]]) -> Dict[str, Any]:
         }
     planes = [d["dataplane"] for d in docs if isinstance(d.get("dataplane"), dict)]
     if planes:
-        merged["dataplane"] = _merge_numeric(planes)
+        merged["dataplane"] = merge_dataplanes(planes)
     pacings = [d["pacing"] for d in docs if isinstance(d.get("pacing"), dict)]
     if pacings:
         merged["pacing"] = {

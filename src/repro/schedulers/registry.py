@@ -54,19 +54,31 @@ def guaranteed_rate(spec: ClassSpec) -> float:
 
 
 def resolution_order(specs: Sequence[ClassSpec]) -> List[ClassSpec]:
-    """Parents before children, declaration order otherwise."""
+    """Parents before children, declaration order otherwise.
+
+    Breadth-first by waves: every spec whose parent is already known, in
+    declaration order, then the specs those unlock.  Each spec is looked
+    at once (indexed by parent), so a 4k-class tree costs milliseconds.
+    """
+    children: Dict[Any, List[int]] = {}
+    for index, spec in enumerate(specs):
+        children.setdefault(spec.parent, []).append(index)
     known = {None, ROOT}
-    pending = list(specs)
+    wave = sorted(children.pop(None, []) + children.pop(ROOT, []))
     ordered: List[ClassSpec] = []
-    while pending:
-        progress = [s for s in pending if s.parent in known]
-        if not progress:
-            names = ", ".join(repr(s.name) for s in pending)
-            raise ConfigurationError(f"unresolvable parents for classes: {names}")
-        for spec in progress:
-            ordered.append(spec)
-            known.add(spec.name)
-        pending = [s for s in pending if s not in ordered]
+    while wave:
+        ordered.extend(specs[index] for index in wave)
+        unlocked: List[int] = []
+        for index in wave:
+            name = specs[index].name
+            if name not in known:
+                known.add(name)
+                unlocked.extend(children.pop(name, ()))
+        wave = sorted(unlocked)
+    if children:
+        pending = sorted(index for rest in children.values() for index in rest)
+        names = ", ".join(repr(specs[index].name) for index in pending)
+        raise ConfigurationError(f"unresolvable parents for classes: {names}")
     return ordered
 
 

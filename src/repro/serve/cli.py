@@ -25,6 +25,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from repro.core.errors import ReproError
+from repro.core.flatstate import kernel_info
 from repro.serve.hierarchy import (
     HIERARCHY_PRESETS,
     SCHEDULER_BACKENDS,
@@ -221,6 +222,7 @@ async def _serve_async(args, service) -> Dict[str, Any]:
         f"repro serve: backend={service.backend} "
         f"link_rate={service.link.rate:g} B/s "
         f"time_scale={service.driver.time_scale:g} "
+        f"kernel={'compiled' if kernel_info()['compiled'] else 'pure'} "
         + " ".join(bound),
         file=sys.stderr, flush=True,
     )

@@ -1096,7 +1096,7 @@ class ShardManager:
         }
         planes = [s["dataplane"] for s in present if s.get("dataplane")]
         if planes:
-            aggregate["dataplane"] = obs_export._merge_numeric(planes)
+            aggregate["dataplane"] = obs_export.merge_dataplanes(planes)
         return {
             "cluster": True,
             "shards": self.shards,

@@ -201,6 +201,7 @@ class RealTimeDriver:
         self.start()
         self._stopping = False
         self._wake = asyncio.Event()
+        aio = asyncio.get_running_loop()
         loop = self.loop
         try:
             while not self._stopping:
@@ -236,10 +237,14 @@ class RealTimeDriver:
                             # Stay loosely responsive even if a wake is
                             # lost to a race we have not imagined.
                             timeout = max(idle_poll, timeout / 2.0)
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout)
-                except asyncio.TimeoutError:
-                    pass
+                if timeout > 0.0 and not self._wake.is_set():
+                    # One timer handle, no Task per turn (wait_for made
+                    # one): the wake or the deadline, whichever is first.
+                    timer = aio.call_later(timeout, self._wake.set)
+                    try:
+                        await self._wake.wait()
+                    finally:
+                        timer.cancel()
                 # Yield at least once per iteration so a zero timeout
                 # cannot starve ingress callbacks on the asyncio loop.
                 await asyncio.sleep(0)

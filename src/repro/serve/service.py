@@ -26,12 +26,14 @@ from __future__ import annotations
 import asyncio
 import errno
 import os
+import resource
 import signal
 import socket as socket_module
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.errors import ReproError
+from repro.core.flatstate import kernel_info
 from repro.core.hierarchy import ClassSpec
 from repro.persist.codec import load_snapshot, save_snapshot
 from repro.persist.runtime import RunContext
@@ -61,6 +63,19 @@ class BindError(ReproError):
         super().__init__(f"cannot bind {address}: {exc}{hint}")
         self.address = address
         self.errno = exc.errno
+
+
+def process_usage() -> Dict[str, Any]:
+    """What this process has cost so far.  Divide a delta by the packets
+    served in between: minor faults per packet near 2 is an allocator
+    trimming and regrowing the heap on every datagram."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {
+        "cpu_user_s": usage.ru_utime,
+        "cpu_sys_s": usage.ru_stime,
+        "minor_faults": usage.ru_minflt,
+        "ctx_switches": usage.ru_nvcsw + usage.ru_nivcsw,
+    }
 
 
 class ServeService:
@@ -214,39 +229,46 @@ class ServeService:
 
     # -- sockets --------------------------------------------------------------
 
+    def _own_datagram_socket(
+        self, family: int, address: Any, label: str, reuse_port: bool = False
+    ) -> socket_module.socket:
+        """Bind a non-blocking datagram socket the service owns and hang
+        a burst-draining reader on it (closed again by :meth:`close`)."""
+        sock = socket_module.socket(family, socket_module.SOCK_DGRAM)
+        try:
+            sock.setblocking(False)
+            if reuse_port:
+                sock.setsockopt(
+                    socket_module.SOL_SOCKET, socket_module.SO_REUSEPORT, 1
+                )
+            sock.bind(address)
+        except OSError as exc:
+            sock.close()
+            raise BindError(label, exc) from exc
+        self._transports.append(DatagramIngressProtocol(self.dataplane, sock))
+        return sock
+
     async def start_udp(
         self, host: str, port: int, reuse_port: bool = False
     ) -> Any:
-        aio = asyncio.get_running_loop()
+        # Shard workers opt in to ``reuse_port`` so a cluster can also be
+        # deployed behind one kernel-sprayed port (misroutes shed by the
+        # shard classifier).
+        label = f"udp://{host}:{port}"
         try:
-            transport, _ = await aio.create_datagram_endpoint(
-                lambda: DatagramIngressProtocol(self.dataplane),
-                local_addr=(host, port),
-                # Shard workers opt in so a cluster can also be deployed
-                # behind one kernel-sprayed port (misroutes shed by the
-                # shard classifier); None = platform default otherwise.
-                reuse_port=reuse_port or None,
-            )
+            # Resolved inline: a bind address is numeric or in /etc/hosts,
+            # and asyncio's resolver would start an executor thread
+            # (~0.7 MB resident) for this one lookup.
+            family, _, _, _, address = socket_module.getaddrinfo(
+                host, port, type=socket_module.SOCK_DGRAM)[0]
         except OSError as exc:
-            raise BindError(f"udp://{host}:{port}", exc) from exc
-        self._transports.append(transport)
-        return transport.get_extra_info("sockname")
+            raise BindError(label, exc) from exc
+        return self._own_datagram_socket(
+            family, address, label, reuse_port).getsockname()
 
     async def start_unix_datagram(self, path: str) -> str:
-        aio = asyncio.get_running_loop()
-        sock = socket_module.socket(
-            socket_module.AF_UNIX, socket_module.SOCK_DGRAM
-        )
-        sock.setblocking(False)
-        try:
-            sock.bind(path)
-        except OSError as exc:
-            sock.close()
-            raise BindError(f"unix-dgram://{path}", exc) from exc
-        transport, _ = await aio.create_datagram_endpoint(
-            lambda: DatagramIngressProtocol(self.dataplane), sock=sock
-        )
-        self._transports.append(transport)
+        self._own_datagram_socket(
+            socket_module.AF_UNIX, path, f"unix-dgram://{path}")
         return path
 
     async def start_control(self, path: str) -> str:
@@ -348,6 +370,8 @@ class ServeService:
             "max_lag": self.driver.max_lag,
             "dataplane": self.dataplane.summary(),
             "resumed_from": self.resumed_from,
+            "kernel": kernel_info(),
+            "process": process_usage(),
         }
         if self.watchdog is not None:
             doc["watchdog"] = {

@@ -416,3 +416,47 @@ class TestFusedKernels:
         assert flatstate.elig_query(state_t, now) == slots_t[0]
         mod.elig_requeue(state_t, slots_t[0], 0.4, 2.0, now)
         assert flatstate.elig_query(state_t, now) == slots_t[1]
+
+
+class TestFastpathArtefact:
+    """The cached shared object is keyed on the source it was built from,
+    and a fallback nobody asked for is announced."""
+
+    def test_artefact_name_carries_the_source_hash(self, monkeypatch, tmp_path):
+        import hashlib
+        import os
+
+        import repro._fastpath as fastpath
+
+        with open(fastpath._SOURCE, "rb") as fh:
+            source = fh.read()
+        built = fastpath._so_path()
+        digest = hashlib.sha256(source).hexdigest()[:12]
+        assert os.path.basename(built).startswith(f"fastpath_c-{digest}.")
+        # Other source, other name: a copied checkout's old build (whatever
+        # its mtime says) is never the file edited source resolves to.
+        edited = tmp_path / "fastpath.c"
+        edited.write_bytes(source + b"\n/* edited */\n")
+        monkeypatch.setattr(fastpath, "_SOURCE", str(edited))
+        assert fastpath._so_path() != built
+        assert os.path.dirname(fastpath._so_path()) == os.path.dirname(built)
+
+    def test_unrequested_fallback_says_so_on_stderr(self, monkeypatch, capsys):
+        import repro._fastpath as fastpath
+
+        monkeypatch.delenv("REPRO_NO_COMPILED", raising=False)
+        monkeypatch.setattr(fastpath, "build", lambda: (_ for _ in ()).throw(
+            RuntimeError("no C compiler found")))
+        previous = fastpath.LOAD_ERROR
+        try:
+            assert fastpath.load() is None
+            assert fastpath.LOAD_ERROR == "RuntimeError: no C compiler found"
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert "pure-Python" in err and "no C compiler found" in err
+            # Asked for, it stays quiet.
+            monkeypatch.setenv("REPRO_NO_COMPILED", "1")
+            assert fastpath.load() is None
+            assert capsys.readouterr().err == ""
+        finally:
+            fastpath.LOAD_ERROR = previous

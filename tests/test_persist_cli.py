@@ -43,6 +43,16 @@ class TestRunScenario:
         assert written == GOLDEN[name]["tree"]
         assert written in capsys.readouterr().out
 
+    def test_heap_backend_is_selectable_from_the_command_line(self, tmp_path):
+        # The production default eligible set, through the real parser.
+        from repro.__main__ import main
+
+        digest_path = str(tmp_path / "digest.txt")
+        assert main(["run", "e4_phases", "--backend", "heap",
+                     "--digest-out", digest_path]) == pcli.EXIT_OK
+        written = open(digest_path, encoding="utf-8").read().strip()
+        assert written == GOLDEN["e4_phases"]["heap"]
+
     def test_drive_crash_then_resume_matches_golden(self, tmp_path, capsys):
         ck = str(tmp_path / "ck.json")
         code = pcli.run_scenario_command(make_args(

@@ -47,6 +47,16 @@ class TestDispatch:
         info = ok(server, {"op": "info"})
         assert info["backend"] == "hfsc"
         assert info["link_rate"] == 1000.0
+        # Which kernel is live (and why, when it is the pure one) and what
+        # the process has cost: the figures a per-packet delta is made of.
+        from repro.core import flatstate
+
+        assert info["kernel"]["compiled"] is flatstate.COMPILED
+        assert (info["kernel"]["reason"] is None) == flatstate.COMPILED
+        assert set(info["process"]) == {
+            "cpu_user_s", "cpu_sys_s", "minor_faults", "ctx_switches"}
+        assert info["process"]["minor_faults"] > 0
+        assert {"reflect_dropped", "bursts", "burst_max"} <= set(info["dataplane"])
 
     def test_malformed_requests(self):
         server = ControlServer(make_service())

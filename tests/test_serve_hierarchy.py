@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.core.hfsc import HFSC
 from repro.schedulers.cbq import CBQScheduler
 from repro.schedulers.hpfq import HPFQScheduler
+from repro.schedulers.registry import resolution_order
 from repro.serve.hierarchy import (
     HIERARCHY_PRESETS,
     build_scheduler,
@@ -148,3 +152,54 @@ class TestBackends:
         specs = [spec_from_doc({"name": "a", "parent": "ghost", "rate": 1.0})]
         with pytest.raises(ConfigurationError):
             build_scheduler("hfsc", 10.0, specs)
+
+    @staticmethod
+    def _quadratic_resolution_order(specs):
+        """The implementation ``resolution_order`` replaced, as reference."""
+        known = {None, "__root__"}
+        pending = list(specs)
+        ordered = []
+        while pending:
+            progress = [s for s in pending if s.parent in known]
+            if not progress:
+                names = ", ".join(repr(s.name) for s in pending)
+                raise ConfigurationError(
+                    f"unresolvable parents for classes: {names}")
+            for spec in progress:
+                ordered.append(spec)
+                known.add(spec.name)
+            pending = [s for s in pending if s not in ordered]
+        return ordered
+
+    @settings(max_examples=60, deadline=None)
+    @given(fanout=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+           orphans=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_resolution_order_matches_the_quadratic_reference(
+            self, fanout, orphans, seed):
+        # A shuffled 3-level tree (root-level parents spelled both ways),
+        # optionally with subtrees hanging off parents nobody declares.
+        specs, level = [], [None]
+        for depth, width in enumerate(fanout):
+            level = [
+                spec_from_doc({"name": f"{parent or 'top'}.{i}", "rate": 1.0,
+                               **({"parent": parent} if parent else
+                                  {"parent": "__root__"} if i % 2 else {})})
+                for parent in level for i in range(width)
+            ]
+            specs.extend(level)
+            level = [spec.name for spec in level]
+        for i in range(orphans):
+            specs.append(spec_from_doc(
+                {"name": f"orphan{i}", "parent": f"ghost{i}", "rate": 1.0}))
+            specs.append(spec_from_doc(
+                {"name": f"orphan{i}.kid", "parent": f"orphan{i}", "rate": 1.0}))
+        random.Random(seed).shuffle(specs)
+        if orphans:
+            with pytest.raises(ConfigurationError) as old:
+                self._quadratic_resolution_order(specs)
+            with pytest.raises(ConfigurationError) as new:
+                resolution_order(specs)
+            assert str(new.value) == str(old.value)
+        else:
+            assert [s.name for s in resolution_order(specs)] == [
+                s.name for s in self._quadratic_resolution_order(specs)]
