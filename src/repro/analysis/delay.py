@@ -48,18 +48,23 @@ def service_curve_delay_bound(
     if rho > spec.rate:
         return INFINITY
     envelope = token_bucket_envelope(sigma, rho, peak)
-    # The supremum is attained at a breakpoint of either curve: candidates
-    # are t = 0+, the envelope's peak/bucket intersection, and the service
-    # curve's knee (mapped through the envelope).
+    # S^{-1}(A(t)) - t is piecewise linear in t, with breakpoints where A
+    # changes slope and where A(t) reaches S's knee value; past both its
+    # slope is rho/m2 - 1 <= 0.  So the supremum is attained at t = 0+ or
+    # at one of those two points.  A rises at ``peak`` until t_peak and
+    # at ``rho`` after it.
+    t_peak = 0.0
+    if peak != math.inf:
+        t_peak = sigma / (peak - rho) if peak > rho else math.inf
     candidates = [1e-12]
-    if peak != math.inf and peak > rho:
-        candidates.append(sigma / (peak - rho))
-    candidates.append(spec.d)
-    # Also probe a geometric sweep for robustness against unusual shapes.
-    probe = 1e-6
-    while probe < 1e4:
-        candidates.append(probe)
-        probe *= 4.0
+    if 0.0 < t_peak < math.inf:
+        candidates.append(t_peak)
+    knee_y = spec.knee_y
+    if knee_y > 0:
+        if t_peak > 0 and knee_y <= peak * t_peak:
+            candidates.append(knee_y / peak)
+        elif knee_y > sigma and rho > 0:
+            candidates.append((knee_y - sigma) / rho)
     worst = 0.0
     for t in candidates:
         demand = envelope(t)

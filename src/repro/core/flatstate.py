@@ -1298,9 +1298,8 @@ class CurveView:
 
     Created on demand by the :class:`repro.core.hfsc.HFSCClass` curve
     properties; mutations write straight through to the flat arrays.
-    Implements the full RuntimeCurve API (the persist codecs call
-    ``to_doc``, the drift guard calls ``rebase``/``shift_x``, analysis
-    reads the parameters).
+    Implements the full RuntimeCurve API (the drift guard calls
+    ``rebase``/``shift_x``, analysis reads the parameters).
     """
 
     __slots__ = ("_s", "_k", "_i")

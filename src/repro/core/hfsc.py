@@ -105,10 +105,6 @@ def _sc_from(doc) -> Optional[ServiceCurve]:
         ) from exc
 
 
-def _rc_doc(curve: Optional[RuntimeCurve]):
-    return None if curve is None else list(curve.to_doc())
-
-
 def _rc_from(doc) -> Optional[RuntimeCurve]:
     if doc is None:
         return None
@@ -1107,47 +1103,78 @@ class HFSC(Scheduler):
         ``add_packet`` interns a packet and returns its table id (the
         packet table is shared with the link/event-loop snapshot so the
         in-flight packet stays the same object as its queue references).
+
+        Every per-class number is read straight from the flat columns
+        (the document is the one the ``HFSCClass`` properties would
+        give, value for value).
         """
+        state = self._flat
+        obj = state.obj
+        index, rt_adm = state.index, state.rt_adm
+        cumul_rt, total_work = state.cumul_rt, state.total_work
+        bytes_rt, bytes_ls = state.bytes_rt, state.bytes_ls
+        eligible, deadline, vt = state.eligible, state.deadline, state.vt
+        fit_time, vt_watermark = state.fit_time, state.vt_watermark
+        hmin_seq, hmin_slot = state.hmin_seq, state.hmin_slot
+        dc, ec, vc, ul = (
+            tuple(getattr(state, f"{kind}_{field}") for field in
+                  ("on", "x0", "y0", "m1", "dx", "m2"))
+            for kind in ("dc", "ec", "vc", "ul")
+        )
+
+        def curve_doc(columns, s):
+            on, x0, y0, m1, dx, m2 = columns
+            return [x0[s], y0[s], m1[s], dx[s], m2[s]] if on[s] else None
+
+        def active_order(s):
+            # Insertion order, not key order: heap updates keep the
+            # original sequence number, so re-pushing in this order
+            # preserves how future exact-key ties will break.
+            seqs, slots = hmin_seq[s], hmin_slot[s]
+            if not seqs:
+                return []
+            return [obj[slots[i]].name
+                    for i in sorted(range(len(seqs)), key=seqs.__getitem__)]
+
         classes = []
         for cls in self._classes.values():
-            if cls.is_root:
+            parent = cls.parent
+            if parent is None:
                 continue
-            if not isinstance(cls.name, (str, int)):
+            name = cls.name
+            if not isinstance(name, (str, int)):
                 raise SnapshotError(
-                    f"class name {cls.name!r} is not snapshot-serializable "
+                    f"class name {name!r} is not snapshot-serializable "
                     "(str or int required)",
                     reason="unsupported-name",
                 )
+            s = cls.slot
             classes.append({
-                "name": cls.name,
-                "parent": cls.parent.name,
-                "index": cls.index,
+                "name": name,
+                "parent": parent.name,
+                "index": index[s],
                 "rt_requested": _sc_doc(cls.rt_requested),
-                "rt_spec": _sc_doc(cls.rt_spec),
-                "rt_admitted": cls.rt_admitted,
-                "ls_spec": _sc_doc(cls.ls_spec),
-                "ul_spec": _sc_doc(cls.ul_spec),
+                "rt_spec": _sc_doc(cls._rt_spec),
+                "rt_admitted": bool(rt_adm[s]),
+                "ls_spec": _sc_doc(cls._ls_spec),
+                "ul_spec": _sc_doc(cls._ul_spec),
                 "queue": [add_packet(p) for p in cls.queue],
-                "cumul_rt": cls.cumul_rt,
-                "total_work": cls.total_work,
-                "bytes_rt": cls.bytes_rt,
-                "bytes_ls": cls.bytes_ls,
-                "deadline_curve": _rc_doc(cls.deadline_curve),
-                "eligible_curve": _rc_doc(cls.eligible_curve),
-                "virtual_curve": _rc_doc(cls.virtual_curve),
-                "ul_curve": _rc_doc(cls.ul_curve),
-                "eligible": cls.eligible,
-                "deadline": cls.deadline,
-                "vt": cls.vt,
-                "fit_time": cls.fit_time,
-                "vt_watermark": cls.vt_watermark,
-                # Insertion order, not key order: IndexedHeap.update keeps
-                # the original sequence number, so re-pushing in this order
-                # preserves how future exact-key ties will break.
-                "active_order": [
-                    child.name for child in cls.active_min.iter_insertion()
-                ],
+                "cumul_rt": cumul_rt[s],
+                "total_work": total_work[s],
+                "bytes_rt": bytes_rt[s],
+                "bytes_ls": bytes_ls[s],
+                "deadline_curve": curve_doc(dc, s),
+                "eligible_curve": curve_doc(ec, s),
+                "virtual_curve": curve_doc(vc, s),
+                "ul_curve": curve_doc(ul, s),
+                "eligible": eligible[s],
+                "deadline": deadline[s],
+                "vt": vt[s],
+                "fit_time": fit_time[s],
+                "vt_watermark": vt_watermark[s],
+                "active_order": active_order(s),
             })
+        root = self.root.slot
         return {
             "type": "HFSC",
             "config": {
@@ -1172,11 +1199,9 @@ class HFSC(Scheduler):
                 "returned": self.total_returned,
             },
             "root": {
-                "total_work": self.root.total_work,
-                "vt_watermark": self.root.vt_watermark,
-                "active_order": [
-                    child.name for child in self.root.active_min.iter_insertion()
-                ],
+                "total_work": total_work[root],
+                "vt_watermark": vt_watermark[root],
+                "active_order": active_order(root),
             },
             "ul_wait_order": [
                 cls.name for cls in self._ul_wait.iter_insertion()

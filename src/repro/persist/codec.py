@@ -13,8 +13,10 @@ module owns everything around it:
   changes; a loader refuses documents from a different schema rather
   than guessing (``SnapshotError(reason="schema-version")``);
 * **integrity** -- ``checksum`` is the SHA-256 of the body's canonical
-  serialization (sorted keys, no whitespace); any bit flip inside the
-  body is caught before a single field is applied;
+  serialization (sorted keys, no whitespace), which is also the form
+  the body is written in; the loader re-serializes the parsed body and
+  compares, so any bit flip inside the body is caught before a single
+  field is applied, whatever the layout of the file around it;
 * **strictness** -- unknown envelope fields are rejected, as is every
   unknown field further down (each codec validates its own level), so
   a snapshot written by a newer minor revision cannot be half-applied;
@@ -37,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Tuple
 
 import repro.sim.packet as _packet_mod
 from repro.core.errors import SnapshotError
@@ -61,21 +63,28 @@ _PACKET_FIELDS = (
 )
 
 
+def _canonical(body: Dict[str, Any]) -> Tuple[str, str]:
+    """``body``'s canonical serialization and the checksum over it."""
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return text, "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def body_checksum(body: Dict[str, Any]) -> str:
     """SHA-256 over the canonical serialization of ``body``."""
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _canonical(body)[1]
 
 
 def dumps_snapshot(body: Dict[str, Any]) -> str:
-    """Wrap ``body`` in the versioned, checksummed envelope."""
-    envelope = {
-        "format": FORMAT,
-        "schema": SCHEMA_VERSION,
-        "checksum": body_checksum(body),
-        "body": body,
-    }
-    return json.dumps(envelope, sort_keys=True)
+    """Wrap ``body`` in the versioned, checksummed envelope.
+
+    The body is serialized once, canonically, and the bytes hashed are
+    the bytes written.  The envelope's keys come in the order
+    ``sort_keys`` gives them, so ``json.loads`` of this text equals that
+    of an envelope written with ``json.dumps(envelope, sort_keys=True)``.
+    """
+    text, checksum = _canonical(body)
+    return (f'{{"body":{text},"checksum":"{checksum}",'
+            f'"format":"{FORMAT}","schema":{SCHEMA_VERSION}}}')
 
 
 def loads_snapshot(text: str) -> Dict[str, Any]:
@@ -109,7 +118,9 @@ def loads_snapshot(text: str) -> Dict[str, Any]:
             f"not a repro snapshot (format={envelope['format']!r})",
             reason="bad-format",
         )
-    if envelope["schema"] != SCHEMA_VERSION:
+    schema = envelope["schema"]
+    # ``True == 1.0 == 1``: only an int (and bool is not one) names a version.
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise SnapshotError(
             f"snapshot schema version {envelope['schema']!r} is not "
             f"supported (this build reads version {SCHEMA_VERSION})",

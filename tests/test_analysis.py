@@ -70,6 +70,57 @@ class TestDelayBounds:
         bound = service_curve_delay_bound(spec, sigma=1000.0, rho=50_000.0)
         assert bound == pytest.approx(0.01, rel=1e-2)
 
+    # Convex curves with m1 > 0: the supremum sits where the envelope
+    # reaches the knee value m1*d, on the bucket segment here...
+    def test_convex_knee_reached_on_bucket_segment(self):
+        spec = ServiceCurve(20_000.0, 0.02, 80_000.0)
+        bound = service_curve_delay_bound(spec, sigma=100.0, rho=50_000.0)
+        assert bound == pytest.approx(0.014)
+
+    # ...and on the peak segment here.
+    def test_convex_knee_reached_on_peak_segment(self):
+        spec = ServiceCurve(1.0, 1.0, 10.0)
+        bound = service_curve_delay_bound(spec, sigma=5.0, rho=0.5, peak=2.0)
+        assert bound == pytest.approx(0.5)
+
+    @given(
+        m1=st.one_of(st.just(0.0), st.floats(0.1, 100.0)),
+        d=st.floats(0.01, 10.0),
+        m2=st.floats(0.5, 100.0),
+        sigma=st.floats(0.0, 100.0),
+        rho_frac=st.floats(0.0, 1.0),
+        peak_factor=st.one_of(st.just(math.inf), st.floats(1.01, 20.0)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exact_bound_matches_dense_sweep(self, m1, d, m2, sigma,
+                                             rho_frac, peak_factor):
+        spec = ServiceCurve(m1, d, m2)
+        rho = rho_frac * m2
+        peak = peak_factor * max(rho, 1.0)
+        bound = service_curve_delay_bound(spec, sigma, rho, peak)
+        envelope = token_bucket_envelope(sigma, rho, peak)
+        # Past both breakpoints (A's knee, A reaching S's knee value) the
+        # gap S^-1(A(t)) - t only shrinks, so sweep a bit beyond them.
+        # A(t) >= y iff peak*t >= y and sigma + rho*t >= y (with rho = 0
+        # a knee above sigma is never reached and only widens the sweep).
+        t_peak = sigma / (peak - rho) if peak != math.inf else 0.0
+        y = spec.knee_y
+        t_knee = max(y / peak, (y - sigma) / rho if rho > 0 else 0.0)
+        horizon = 2.0 * (t_peak + t_knee) + 1.0
+        steps = 4000
+        dt = horizon / steps
+        ts = [1e-12] + [i * dt for i in range(1, steps + 1)]
+        sweep = max(spec.inverse(envelope(t)) - t for t in ts)
+        # |d/dt (S^-1(A(t)) - t)| <= max slope of A / min slope of S + 1
+        # away from t = 0, so the sweep misses the peak by at most that
+        # times its step.
+        a_slope = rho if peak == math.inf else peak
+        s_slope = min(m for m in (m1, m2) if m > 0)
+        resolution = (a_slope / s_slope + 1.0) * dt
+        tol = 1e-9 * max(1.0, bound)
+        assert bound >= sweep - tol
+        assert bound <= sweep + resolution + tol
+
     def test_coupled_bound(self):
         assert coupled_delay_bound(100.0, 50.0) == 0.5
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,6 @@
 """Snapshot envelope codec: versioning, integrity, strictness, atomic IO."""
 
+import hashlib
 import json
 import os
 
@@ -52,6 +53,17 @@ class TestEnvelope:
             loads_snapshot(json.dumps(doc))
         assert err.value.reason == "schema-version"
 
+    # ``True == 1.0 == 1`` in Python: equal-comparing non-ints must not
+    # pass for the version.
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", None],
+                             ids=["bool", "float", "str", "null"])
+    def test_non_int_schema_refused(self, bad):
+        doc = json.loads(dumps_snapshot(BODY))
+        doc["schema"] = bad
+        with pytest.raises(SnapshotError) as err:
+            loads_snapshot(json.dumps(doc))
+        assert err.value.reason == "schema-version"
+
     def test_checksum_tamper(self):
         doc = json.loads(dumps_snapshot(BODY))
         doc["body"]["x"] = 2.5
@@ -79,6 +91,39 @@ class TestEnvelope:
         assert [repr(x) for x in restored["f"]] == [repr(x) for x in body["f"]]
 
 
+def _older_layout(body):
+    """An envelope as earlier writers laid it out: the whole document
+    through ``json.dumps(sort_keys=True)``, default separators."""
+    return json.dumps({
+        "format": FORMAT,
+        "schema": SCHEMA_VERSION,
+        "checksum": body_checksum(body),
+        "body": body,
+    }, sort_keys=True)
+
+
+class TestLayout:
+    def test_older_layout_still_loads(self, tmp_path):
+        text = _older_layout(BODY)
+        assert '"x": 1.5' in text  # really the spaced layout
+        assert loads_snapshot(text) == BODY
+        path = tmp_path / "old.json"
+        path.write_text(text + "\n")
+        assert load_snapshot(str(path)) == BODY
+
+    def test_written_body_bytes_are_the_hashed_bytes(self, tmp_path):
+        path = tmp_path / "snap.json"
+        save_snapshot(str(path), BODY)
+        raw = path.read_bytes()
+        canonical = json.dumps(BODY, sort_keys=True,
+                               separators=(",", ":")).encode()
+        assert raw.startswith(b'{"body":' + canonical + b',"checksum":')
+        doc = json.loads(raw)
+        assert doc["checksum"] == (
+            "sha256:" + hashlib.sha256(canonical).hexdigest())
+        assert doc == json.loads(_older_layout(BODY))
+
+
 class TestFileIO:
     def test_save_and_load(self, tmp_path):
         path = tmp_path / "snap.json"
@@ -101,7 +146,11 @@ class TestFileIO:
         path = tmp_path / "snap.json"
         save_snapshot(str(path), BODY)
         text = path.read_text()
-        path.write_text(text.replace('"x": 1.5', '"x": 9.5'))
+        # Flip one digit of the body's value, whatever the separators;
+        # "1.5" cannot occur in the hex checksum.
+        corrupt = text.replace("1.5", "9.5", 1)
+        assert corrupt != text
+        path.write_text(corrupt)
         with pytest.raises(SnapshotError) as err:
             load_snapshot(str(path))
         assert err.value.reason == "checksum-mismatch"

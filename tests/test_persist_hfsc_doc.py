@@ -1,0 +1,126 @@
+"""``HFSC.snapshot_state`` against a document read through the façade.
+
+``snapshot_state`` reads every per-class number straight from the
+scheduler's flat columns.  The reference below builds the same
+document the slow way, through the ``HFSCClass`` properties
+(``CurveView`` curves, ``HeapView`` insertion order, the spec
+properties).  The two must agree key for key, value for value and JSON
+type for JSON type -- so the canonical checksum of a state does not
+depend on which of the two read it -- at several points of the golden
+H-FSC scenarios and of the overload policies.  Tier-1 runs on both the
+compiled and the pure kernels (``REPRO_NO_COMPILED=1``), which covers
+both legs.
+"""
+
+import json
+
+import pytest
+
+from repro.core.curves import ServiceCurve
+from repro.core.hfsc import HFSC
+from repro.persist.codec import PacketTable, body_checksum
+from repro.persist.harness import DriveRun
+from repro.persist.scenarios import DRIVE_SETUPS, eventloop_mixed_context
+from repro.sim.packet import Packet
+
+HFSC_DRIVES = ("e4_phases", "e5_decoupling", "ul_caps", "rt_only")
+SERVED_STOPS = (0, 1, 37, 400, 2500)  # departures before each snapshot
+
+
+def _spec(spec):
+    return None if spec is None else [spec.m1, spec.d, spec.m2]
+
+
+def _curve(view):
+    return None if view is None else list(view.to_doc())
+
+
+def _order(cls):
+    return [child.name for child in cls.active_min.iter_insertion()]
+
+
+def facade_doc(sched):
+    """``snapshot_state``'s document, per-class parts read via properties."""
+    doc = sched.snapshot_state(PacketTable().add)
+    doc["classes"] = [{
+        "name": cls.name,
+        "parent": cls.parent.name,
+        "index": cls.index,
+        "rt_requested": _spec(cls.rt_requested),
+        "rt_spec": _spec(cls.rt_spec),
+        "rt_admitted": cls.rt_admitted,
+        "ls_spec": _spec(cls.ls_spec),
+        "ul_spec": _spec(cls.ul_spec),
+        "queue": [p.uid for p in cls.queue],
+        "cumul_rt": cls.cumul_rt,
+        "total_work": cls.total_work,
+        "bytes_rt": cls.bytes_rt,
+        "bytes_ls": cls.bytes_ls,
+        "deadline_curve": _curve(cls.deadline_curve),
+        "eligible_curve": _curve(cls.eligible_curve),
+        "virtual_curve": _curve(cls.virtual_curve),
+        "ul_curve": _curve(cls.ul_curve),
+        "eligible": cls.eligible,
+        "deadline": cls.deadline,
+        "vt": cls.vt,
+        "fit_time": cls.fit_time,
+        "vt_watermark": cls.vt_watermark,
+        "active_order": _order(cls),
+    } for cls in sched.classes()]
+    doc["root"] = {
+        "total_work": sched.root.total_work,
+        "vt_watermark": sched.root.vt_watermark,
+        "active_order": _order(sched.root),
+    }
+    return doc
+
+
+def assert_matches_facade(sched):
+    doc = sched.snapshot_state(PacketTable().add)
+    reference = facade_doc(sched)
+    # JSON text, not ==: True == 1 == 1.0 would hide a type change.
+    assert json.dumps(doc, sort_keys=True) == json.dumps(reference,
+                                                         sort_keys=True)
+    assert body_checksum(doc) == body_checksum(reference)
+
+
+@pytest.mark.parametrize("backend", ("tree", "heap"))
+@pytest.mark.parametrize("name", HFSC_DRIVES)
+def test_drive_scenarios_match_facade(name, backend):
+    sched, arrivals, until = DRIVE_SETUPS[name](backend)
+    run = DriveRun(sched, arrivals, until)
+    for stop in SERVED_STOPS:
+        run.run(max_served=stop)
+        assert_matches_facade(sched)
+    run.run()
+    assert_matches_facade(sched)
+
+
+def test_event_loop_scenario_matches_facade():
+    ctx, until = eventloop_mixed_context("calendar")
+    for t in (0.01, 0.3, 2.0, 5.5, until):
+        ctx.loop.run(until=t)
+        assert_matches_facade(ctx.scheduler)
+
+
+@pytest.mark.parametrize("policy", ("reject", "scale-rt", "linkshare-only"))
+def test_overload_policies_match_facade(policy):
+    # Real-time curves overbook the link, so the policy derates
+    # (rt_spec != rt_requested) or strips (rt_admitted false) some.
+    sched = HFSC(10_000.0, overload_policy=policy)
+    sched.add_class("a", sc=ServiceCurve(6_000.0, 0.02, 5_000.0))
+    sched.add_class("b", rt_sc=ServiceCurve(0.0, 0.05, 4_000.0),
+                    ls_sc=ServiceCurve.linear(3_000.0))
+    sched.add_class("c", sc=ServiceCurve.linear(4_500.0),
+                    ul_sc=ServiceCurve.linear(6_000.0))
+    now = 0.0
+    for k in range(30):
+        sched.enqueue(Packet("abc"[k % 3], 200.0 + 10.0 * k), now)
+    assert sched.overload_events
+    for _ in range(20):
+        packet = sched.dequeue(now)
+        if packet is None:
+            now = sched.next_ready_time(now)
+            continue
+        now += packet.size / sched.link_rate
+        assert_matches_facade(sched)
