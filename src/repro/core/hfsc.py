@@ -41,8 +41,8 @@ from collections import deque
 from operator import attrgetter
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set
 
-from repro.core.admission import uniform_admissible_scale
-from repro.core.curves import ServiceCurve, is_admissible
+from repro.core.admission import RtDemand, uniform_admissible_scale
+from repro.core.curves import ServiceCurve
 from repro.core.errors import (
     ConfigurationError,
     OverloadError,
@@ -474,6 +474,10 @@ class HFSC(Scheduler):
             )
         self._admission_control = admission_control
         self._admission_checked = True
+        #: Sum of every class's requested rt curve -- eq. (1)'s left side,
+        #: kept by add/update/remove so no admission question scans the
+        #: leaves.
+        self._rt_demand = RtDemand()
         self.vt_policy = vt_policy
         self._policy_code = _POLICY_CODES[vt_policy]
         self.realtime_enabled = realtime
@@ -565,6 +569,8 @@ class HFSC(Scheduler):
         self._next_index += 1
         parent_cls.children.append(cls)
         self._classes[name] = cls
+        if rt_sc is not None:
+            self._rt_demand.add(rt_sc)
         if ul_sc is not None:
             self._ul_classes.add(cls)
             parent_cls.ul_children += 1
@@ -677,6 +683,10 @@ class HFSC(Scheduler):
                 operation="update_class", class_id=name, reason="rt-on-interior",
             )
         if new_rt is not cls.rt_requested:
+            if cls.rt_requested is not None:
+                self._rt_demand.remove(cls.rt_requested)
+            if new_rt is not None:
+                self._rt_demand.add(new_rt)
             cls.rt_requested = new_rt
             cls.rt_spec = new_rt
             cls.rt_admitted = True  # a fresh request; re-vetted lazily
@@ -810,17 +820,39 @@ class HFSC(Scheduler):
         Pure check over the *requested* curves; the degradation policies
         are applied lazily on the enqueue path, not here.
         """
-        leaves = [
-            cls for cls in self.leaf_classes() if cls.rt_requested is not None
-        ]
-        curves = [cls.rt_requested for cls in leaves]
-        if curves and not is_admissible(curves, self.link_rate):
-            raise OverloadError(
-                "sum of leaf real-time service curves exceeds the link rate",
-                capacity=self.link_rate,
-                demand_rate=sum(spec.m2 for spec in curves),
-                classes=[cls.name for cls in leaves],
-            )
+        if not self._rt_demand.fits(self.link_rate):
+            raise self._overload_error()
+
+    def admits(self, name: Any, rt_sc: Optional[ServiceCurve]) -> bool:
+        """Would eq. (1) hold with class ``name`` requesting ``rt_sc``?
+
+        ``name``'s current rt curve, if the class exists, is taken out
+        first, so a change is judged net of the curve it replaces;
+        ``rt_sc=None`` asks about the set without it.  Always True with
+        admission control off.
+        """
+        if not self._admission_control:
+            return True
+        demand = self._rt_demand
+        cls = self._classes.get(name)
+        old = None if cls is None else cls.rt_requested
+        if old is not None:
+            demand.remove(old)
+        if rt_sc is not None:
+            demand.add(rt_sc)
+        try:
+            return demand.fits(self.link_rate)
+        finally:
+            if rt_sc is not None:
+                demand.remove(rt_sc)
+            if old is not None:
+                demand.add(old)
+
+    def rt_curves(self, without: Any = None) -> List[ServiceCurve]:
+        """The requested rt curves of every class but ``without``, in
+        creation order."""
+        return [cls.rt_requested for cls in self._rt_leaves()
+                if cls.name != without]
 
     # -- scheduler interface (Fig. 4) ----------------------------------------
 
@@ -1035,7 +1067,8 @@ class HFSC(Scheduler):
 
         Checks: active/passive bookkeeping matches queue contents, heap
         membership matches activity, per-class byte accounting sums to the
-        scheduler totals, and rt service never exceeds total service.
+        scheduler totals, rt service never exceeds total service, and the
+        rt demand aggregate equals the sum of the leaves' requested curves.
         """
         total_backlog_packets = 0
         total_backlog_bytes = 0.0
@@ -1049,10 +1082,13 @@ class HFSC(Scheduler):
                 while node is not None and node not in with_backlog:
                     with_backlog.add(node)
                     node = node.parent
+        rt_demand = RtDemand()
         for cls in self.classes():
             if cls.is_leaf:
                 total_backlog_packets += len(cls.queue)
                 total_backlog_bytes += sum(p.size for p in cls.queue)
+                if cls.rt_requested is not None:
+                    rt_demand.add(cls.rt_requested)
                 if cls.rt_spec is not None and self.realtime_enabled:
                     in_set = cls in self._eligible
                     assert in_set == (bool(cls.queue) and cls.rt_admitted), (
@@ -1085,6 +1121,9 @@ class HFSC(Scheduler):
                     assert has_backlog, f"{cls.name!r}: active but empty"
         assert total_backlog_packets == self._backlog_packets
         assert abs(total_backlog_bytes - self._backlog_bytes) < 1e-6
+        assert self._rt_demand == rt_demand, (
+            "rt demand aggregate differs from the leaves' requested curves"
+        )
 
     # -- snapshot/restore (used by repro.persist) -----------------------------
     #
@@ -1539,9 +1578,9 @@ class HFSC(Scheduler):
 
     # -- overload policies -----------------------------------------------------
 
-    def _ensure_admissible(self, now: float) -> None:
-        """Lazy admission check + the configured degradation policy."""
-        rt_leaves = sorted(
+    def _rt_leaves(self) -> List[HFSCClass]:
+        """Leaves with a requested rt curve, in creation order."""
+        return sorted(
             (
                 cls
                 for cls in self.leaf_classes()
@@ -1549,31 +1588,36 @@ class HFSC(Scheduler):
             ),
             key=_creation_index,
         )
+
+    def _overload_error(self) -> OverloadError:
+        rt_leaves = self._rt_leaves()
+        return OverloadError(
+            "sum of leaf real-time service curves exceeds the link rate",
+            capacity=self.link_rate,
+            demand_rate=sum(cls.rt_requested.m2 for cls in rt_leaves),
+            classes=[cls.name for cls in rt_leaves],
+        )
+
+    def _ensure_admissible(self, now: float) -> None:
+        """Lazy admission check + the configured degradation policy."""
         policy = self.overload_policy
         if policy == "scale-rt":
-            self._apply_scale_rt(rt_leaves, now)
+            self._apply_scale_rt(now)
         elif policy == "linkshare-only":
-            self._apply_linkshare_only(rt_leaves, now)
+            self._apply_linkshare_only(now)
         elif policy == "reject":
-            self._apply_reject(rt_leaves, now)
-        else:  # "raise"
-            requested = [cls.rt_requested for cls in rt_leaves]
-            if requested and not is_admissible(requested, self.link_rate):
-                raise OverloadError(
-                    "sum of leaf real-time service curves exceeds the link rate",
-                    capacity=self.link_rate,
-                    demand_rate=sum(spec.m2 for spec in requested),
-                    classes=[cls.name for cls in rt_leaves],
-                )
+            self._apply_reject(now)
+        elif not self._rt_demand.fits(self.link_rate):  # "raise"
+            raise self._overload_error()
         self._admission_checked = True
 
-    def _apply_scale_rt(self, rt_leaves: List[HFSCClass], now: float) -> None:
-        requested = [cls.rt_requested for cls in rt_leaves]
-        factor = (
-            uniform_admissible_scale(requested, self.link_rate)
-            if requested
-            else 1.0
-        )
+    def _apply_scale_rt(self, now: float) -> None:
+        rt_leaves = self._rt_leaves()
+        factor = 1.0
+        if not self._rt_demand.fits(self.link_rate):
+            factor = uniform_admissible_scale(
+                [cls.rt_requested for cls in rt_leaves], self.link_rate
+            )
         if factor < 1.0:
             self._record_overload(
                 "scale-rt",
@@ -1593,41 +1637,44 @@ class HFSC(Scheduler):
             if changed:
                 self._reanchor_rt(cls, now)
 
-    def _apply_linkshare_only(self, rt_leaves: List[HFSCClass], now: float) -> None:
-        requested = [cls.rt_requested for cls in rt_leaves]
-        feasible = not requested or is_admissible(requested, self.link_rate)
+    def _apply_linkshare_only(self, now: float) -> None:
+        feasible = self._rt_demand.fits(self.link_rate)
         if feasible and self.rt_suspended:
             # Capacity returned: resume the real-time criterion with fresh
             # curves (the suspended-era deadlines are ancient history and
             # would otherwise release a burst of "overdue" service).
             self.rt_suspended = False
-            for cls in rt_leaves:
+            for cls in self._rt_leaves():
                 self._reanchor_rt(cls, now)
         elif not feasible and not self.rt_suspended:
             self.rt_suspended = True
             self._record_overload(
                 "linkshare-only",
                 now=now,
-                classes=[cls.name for cls in rt_leaves],
+                classes=[cls.name for cls in self._rt_leaves()],
             )
 
-    def _apply_reject(self, rt_leaves: List[HFSCClass], now: float) -> None:
+    def _apply_reject(self, now: float) -> None:
         # Previously admitted classes keep their guarantees first (oldest
         # first), then newcomers are admitted greedily in creation order;
         # whatever does not fit is stripped to link-sharing-only service
         # until a later check finds room again.
+        rt_leaves = self._rt_leaves()
+        rate = self.link_rate
+        if all(cls.rt_admitted for cls in rt_leaves) and self._rt_demand.fits(rate):
+            return  # the greedy pass would admit every class and change nothing
         ordered = [cls for cls in rt_leaves if cls.rt_admitted] + [
             cls for cls in rt_leaves if not cls.rt_admitted
         ]
         admitted: List[HFSCClass] = []
         rejected: List[HFSCClass] = []
-        curves: List[ServiceCurve] = []
+        trial = RtDemand()
         for cls in ordered:
-            trial = curves + [cls.rt_requested]
-            if is_admissible(trial, self.link_rate):
-                curves = trial
+            trial.add(cls.rt_requested)
+            if trial.fits(rate):
                 admitted.append(cls)
             else:
+                trial.remove(cls.rt_requested)
                 rejected.append(cls)
         for cls in admitted:
             if not cls.rt_admitted:
@@ -1719,6 +1766,8 @@ class HFSC(Scheduler):
         assert parent is not None
         parent.children.remove(cls)
         del self._classes[cls.name]
+        if cls.rt_requested is not None:
+            self._rt_demand.remove(cls.rt_requested)
         if cls in self._ul_classes:
             self._ul_classes.discard(cls)
             parent.ul_children -= 1

@@ -43,7 +43,9 @@ from typing import Any, Dict, List, Optional
 
 from repro import __version__
 from repro.core.admission import admissible_rate_headroom
-from repro.core.curves import ServiceCurve, is_admissible
+# ``is_admissible`` is not called here; it stays importable under this
+# module because benchmarks/layered/tracing.py wraps it by name.
+from repro.core.curves import ServiceCurve, is_admissible  # noqa: F401
 from repro.core.errors import ReproError
 from repro.core.hfsc import HFSC, UNCHANGED
 from repro.obs import export as obs_export
@@ -240,15 +242,12 @@ class ControlServer:
         degrading live traffic later.
         """
         sched = self.service.scheduler
-        if not isinstance(sched, HFSC) or not sched._admission_control:
+        if not isinstance(sched, HFSC):
             return
-        existing = [
-            cls.rt_requested for cls in sched.leaf_classes()
-            if cls.rt_requested is not None and cls.name != target
-        ]
-        prospective = existing + ([new_rt] if new_rt is not None else [])
-        if prospective and not is_admissible(prospective, sched.link_rate):
-            headroom = admissible_rate_headroom(existing, sched.link_rate)
+        if not sched.admits(target, new_rt):
+            headroom = admissible_rate_headroom(
+                sched.rt_curves(without=target), sched.link_rate
+            )
             raise ControlError(
                 f"real-time curve for {target!r} rejected by admission "
                 f"control: sum of leaf rt curves would exceed the link rate "

@@ -134,6 +134,67 @@ class TestReconfiguration:
         ok(server, {"op": "update_class", "name": "gold",
                     "sc": {"rate": 500.0}})
 
+    def test_update_is_judged_net_of_the_class_own_curve(self):
+        from repro.core.hierarchy import ClassSpec
+
+        specs = [ClassSpec("gold", sc=ServiceCurve.linear(500.0)),
+                 ClassSpec("bronze", sc=ServiceCurve.linear(300.0))]
+        server = ControlServer(make_service(specs=specs))
+        # 700 + 300 fills the link exactly once gold's 500 is taken out.
+        ok(server, {"op": "update_class", "name": "gold", "sc": {"rate": 700.0}})
+        error = err(server, {"op": "update_class", "name": "gold",
+                             "sc": {"rate": 701.0}})
+        assert "admission" in error["message"]
+        rows = {r["name"]: r for r in ok(server, {"op": "classes"})}
+        assert rows["gold"]["rt_sc"]["m2"] == 700.0
+
+    def test_rejection_reports_linear_headroom_without_the_target(self):
+        from repro.core.hierarchy import ClassSpec
+
+        # gold bursts at 600 B/s for 0.1 s, then 200; bronze is 300 flat:
+        # at small t only 100 B/s is free, the knee and the tail give more.
+        specs = [ClassSpec("gold", sc=ServiceCurve(600.0, 0.1, 200.0)),
+                 ClassSpec("bronze", sc=ServiceCurve.linear(300.0))]
+        server = ControlServer(make_service(specs=specs))
+        error = err(server, {"op": "add_class", "name": "greedy",
+                             "sc": {"rate": 150.0}})
+        assert error["message"].endswith("(headroom for a linear curve: 100)")
+        # Updating bronze frees its own 300: headroom is 1000 - 600.
+        error = err(server, {"op": "update_class", "name": "bronze",
+                             "sc": {"rate": 500.0}})
+        assert error["message"].endswith("(headroom for a linear curve: 400)")
+
+    def test_dry_run_reserve_gives_the_commit_verdict(self):
+        from repro.core.hierarchy import ClassSpec
+
+        specs = [ClassSpec("gold", sc=ServiceCurve.linear(500.0)),
+                 ClassSpec("bronze", sc=ServiceCurve.linear(300.0))]
+        requests = [
+            {"op": "add_class", "name": "silver", "sc": {"rate": 200.0}},
+            {"op": "add_class", "name": "tin", "sc": {"rate": 201.0}},
+            {"op": "update_class", "name": "gold", "sc": {"rate": 700.0}},
+            {"op": "update_class", "name": "gold", "sc": [900.0, 0.5, 100.0]},
+        ]
+        for request in requests:
+            server = ControlServer(make_service(specs=specs))
+            before = ok(server, {"op": "classes"})
+            reserve = call(server, dict(request, dry_run=True))
+            assert ok(server, {"op": "classes"}) == before
+            commit = call(server, request)
+            assert reserve["ok"] == commit["ok"], request
+            if not commit["ok"]:
+                assert reserve["error"] == commit["error"]
+
+    def test_non_finite_curve_is_refused_before_admission(self):
+        # JSON's NaN literal parses; the curve itself refuses it, so the
+        # admission aggregate never sees a value it cannot hold exactly.
+        server = ControlServer(make_service())
+        for role in ("rt_sc", "ls_sc"):
+            error = err(server, {"op": "add_class", "name": "nan",
+                                 role: {"rate": float("nan")}})
+            assert error["type"] == "ConfigurationError"
+            assert "finite" in error["message"]
+
     def test_update_null_removes_a_role(self):
         svc = make_service()
         server = ControlServer(svc)
