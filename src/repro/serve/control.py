@@ -38,8 +38,10 @@ arrivals -- exactly like the chaos subsystem's live reconfiguration.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
-from typing import Any, Dict, List, Optional
+from operator import is_
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro import __version__
 from repro.core.admission import admissible_rate_headroom
@@ -47,7 +49,7 @@ from repro.core.admission import admissible_rate_headroom
 # module because benchmarks/layered/tracing.py wraps it by name.
 from repro.core.curves import ServiceCurve, is_admissible  # noqa: F401
 from repro.core.errors import ReproError
-from repro.core.hfsc import HFSC, UNCHANGED
+from repro.core.hfsc import HFSC, ROOT, UNCHANGED
 from repro.obs import export as obs_export
 from repro.obs.core import TELEMETRY as _TELEM
 from repro.serve.hierarchy import curve_from_doc
@@ -55,12 +57,74 @@ from repro.serve.hierarchy import curve_from_doc
 #: Largest accepted request line; a control peer is trusted but a runaway
 #: client must not balloon the service's memory.
 MAX_LINE = 1 << 20
+_TOO_LONG = f"request line over {MAX_LINE} bytes"
 
 
 def _curve_doc(curve: Optional[ServiceCurve]) -> Optional[Dict[str, float]]:
     if curve is None:
         return None
     return {"m1": curve.m1, "d": curve.d, "m2": curve.m2}
+
+
+class _Encoded(str):
+    """A result that is already JSON text; the reply splices it in as is."""
+
+
+#: A ``classes`` row: its static values (name first) and its queue depth.
+Row = Tuple[Tuple[Any, ...], int]
+
+
+def _hfsc_rows(sched: HFSC) -> Iterable[Row]:
+    # The spec slots behind the ``rt_spec``/``ls_spec``/``ul_spec``
+    # properties: the same objects, read without the property call.
+    for cls in sched._classes.values():
+        parent = cls.parent
+        if parent is not None:
+            yield ((cls.name, parent.name, not cls.children, cls.rt_requested,
+                    cls._rt_spec, cls._ls_spec, cls._ul_spec), len(cls.queue))
+
+
+def _hfsc_row(key: Tuple[Any, ...]) -> Dict[str, Any]:
+    name, parent, leaf, rt_requested, rt_spec, ls_spec, ul_spec = key
+    return {
+        "name": name,
+        "parent": parent,
+        "leaf": leaf,
+        "queued": 0,
+        "rt_sc": _curve_doc(rt_requested),
+        "rt_effective": _curve_doc(rt_spec),
+        "ls_sc": _curve_doc(ls_spec),
+        "ul_sc": _curve_doc(ul_spec),
+    }
+
+
+def _rate_rows(sched: Any) -> Iterable[Row]:
+    """Rate-based backends: the tree without its root, or a flat
+    backend's leaves under the root (``fifo`` has neither: no rows)."""
+    classes = getattr(sched, "_classes", None)
+    if classes is None:
+        for name, flow in getattr(sched, "_flows", {}).items():
+            yield ((name, ROOT, getattr(flow, "rate", None)), len(flow.queue))
+        return
+    for name, cls in classes.items():
+        if cls.parent is not None:
+            rate = getattr(cls, "rate", getattr(cls, "weight", None))
+            yield ((name, cls.parent.name, rate), len(cls.queue))
+
+
+def _rate_row(key: Tuple[Any, ...]) -> Dict[str, Any]:
+    name, parent, rate = key
+    return {"name": name, "parent": parent, "rate": rate, "queued": 0}
+
+
+def _row_text(row: Dict[str, Any]) -> Tuple[str, str]:
+    """``json.dumps(row)`` cut around the value of ``queued`` (0 here).
+
+    A ``"queued": `` inside an encoded string has its quotes escaped, so
+    the first match is the key's.
+    """
+    prefix, _, suffix = json.dumps(row).partition('"queued": 0')
+    return prefix + '"queued": ', suffix
 
 
 class ControlError(ReproError):
@@ -74,18 +138,33 @@ class ControlServer:
         self.service = service
         self.requests = 0
         self.errors = 0
+        # ``classes`` row memo: name -> (static values, text before the
+        # queue depth, text after it).
+        self._rows: Dict[Any, Tuple[Tuple[Any, ...], str, str]] = {}
 
     # -- transport ----------------------------------------------------------
 
     async def handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One connection: serve request lines until the peer closes."""
+        """One connection: serve request lines until the peer closes.
+
+        The reader's limit is :data:`MAX_LINE`.  A longer line is answered
+        with a ``ControlError`` and the connection closed: the line's tail
+        is still unread, so the stream cannot be resynchronized.
+        """
         try:
             while True:
                 try:
                     line = await reader.readline()
-                except (ValueError, ConnectionError, asyncio.LimitOverrunError):
+                except (ValueError, asyncio.LimitOverrunError):
+                    self.requests += 1
+                    reply = self._error_reply(ControlError(_TOO_LONG))
+                    writer.write(reply.encode("utf-8") + b"\n")
+                    with contextlib.suppress(ConnectionError):
+                        await writer.drain()
+                    break
+                except ConnectionError:
                     break
                 except asyncio.CancelledError:
                     # The service is tearing down mid-connection; finish
@@ -109,7 +188,7 @@ class ControlServer:
         self.requests += 1
         try:
             if len(line) > MAX_LINE:
-                raise ControlError(f"request line over {MAX_LINE} bytes")
+                raise ControlError(_TOO_LONG)
             try:
                 request = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -117,17 +196,23 @@ class ControlServer:
             if not isinstance(request, dict) or "op" not in request:
                 raise ControlError('request must be an object with an "op" key')
             result = self.dispatch(request)
+            if isinstance(result, _Encoded):
+                # What json.dumps would write around it, separators included.
+                return '{"ok": true, "result": ' + result + "}"
             return json.dumps({"ok": True, "result": result})
         except ReproError as exc:
-            self.errors += 1
-            error: Dict[str, Any] = {
-                "type": type(exc).__name__,
-                "message": str(exc),
-            }
-            context = getattr(exc, "context", None)
-            if isinstance(context, dict):
-                error["context"] = context
-            return json.dumps({"ok": False, "error": error})
+            return self._error_reply(exc)
+
+    def _error_reply(self, exc: ReproError) -> str:
+        self.errors += 1
+        error: Dict[str, Any] = {
+            "type": type(exc).__name__,
+            "message": str(exc),
+        }
+        context = getattr(exc, "context", None)
+        if isinstance(context, dict):
+            error["context"] = context
+        return json.dumps({"ok": False, "error": error})
 
     # -- dispatch -----------------------------------------------------------
 
@@ -169,34 +254,37 @@ class ControlServer:
         }
         return snap
 
-    def op_classes(self, request: Dict[str, Any]) -> List[Dict[str, Any]]:
+    def op_classes(self, request: Dict[str, Any]) -> _Encoded:
+        """Every non-root class, encoded through the row memo.
+
+        A row's text is a pure function of its static values, so a row is
+        re-encoded only when one of them is no longer the object it was
+        encoded from; only its queue depth is formatted on every call.
+        That also catches writes that bypass ``update_class`` (the
+        ``scale-rt`` derating of ``rt_spec``, a direct assignment).
+        """
         sched = self.service.scheduler
-        rows: List[Dict[str, Any]] = []
         if isinstance(sched, HFSC):
-            for cls in sched.classes():
-                if cls.is_root:
-                    continue
-                rows.append({
-                    "name": cls.name,
-                    "parent": cls.parent.name,
-                    "leaf": cls.is_leaf,
-                    "queued": len(cls.queue),
-                    "rt_sc": _curve_doc(cls.rt_requested),
-                    "rt_effective": _curve_doc(cls.rt_spec),
-                    "ls_sc": _curve_doc(cls.ls_spec),
-                    "ul_sc": _curve_doc(cls.ul_spec),
-                })
-        else:
-            for name, cls in getattr(sched, "_classes", {}).items():
-                parent = getattr(cls, "parent", None)
-                queue = getattr(cls, "queue", None)
-                rows.append({
-                    "name": name,
-                    "parent": getattr(parent, "name", None),
-                    "rate": getattr(cls, "rate", getattr(cls, "weight", None)),
-                    "queued": 0 if queue is None else len(queue),
-                })
-        return rows
+            return self._encode_rows(_hfsc_rows(sched), _hfsc_row)
+        return self._encode_rows(_rate_rows(sched), _rate_row)
+
+    def _encode_rows(
+        self, rows: Iterable[Row],
+        make_row: Callable[[Tuple[Any, ...]], Dict[str, Any]],
+    ) -> _Encoded:
+        memo = self._rows
+        fresh: Dict[Any, Tuple[Tuple[Any, ...], str, str]] = {}
+        parts = []
+        for key, queued in rows:
+            entry = memo.get(key[0])
+            # Identity, not equality: 1 == 1.0 and 0.0 == -0.0 print apart.
+            if entry is None or not all(map(is_, entry[0], key)):
+                entry = (key, *_row_text(make_row(key)))
+            fresh[key[0]] = entry
+            parts.append(f"{entry[1]}{queued}{entry[2]}")
+        # Rebuilt every call, so removed classes drop out.
+        self._rows = fresh
+        return _Encoded("[" + ", ".join(parts) + "]")
 
     def op_watchdog(self, request: Dict[str, Any]) -> Dict[str, Any]:
         watchdog = self.service.watchdog

@@ -272,12 +272,11 @@ class ServeService:
         return path
 
     async def start_control(self, path: str) -> str:
-        from repro.serve.control import ControlServer
+        from repro.serve.control import MAX_LINE, ControlServer
 
         try:
             server = await asyncio.start_unix_server(
-                ControlServer(self).handle, path=path,
-                limit=16 * 1024 * 1024,
+                ControlServer(self).handle, path=path, limit=MAX_LINE,
             )
         except OSError as exc:
             raise BindError(f"ctl://{path}", exc) from exc
