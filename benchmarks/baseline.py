@@ -44,8 +44,6 @@ from repro.core.hfsc import HFSC
 from repro.core.runtime_curves import RuntimeCurve
 from repro.experiments import e9_overhead
 from repro.sim.packet import Packet
-from repro.util.calendar_queue import CalendarQueue
-from repro.util.eligible_tree import EligibleTree
 from repro.util.heap import IndexedHeap
 
 BASELINE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "baselines")
@@ -120,42 +118,6 @@ def bench_heap_push_pop(rounds: int) -> Tuple[float, int]:
                 heap.pop()
             total += 2 * n
         return total
-
-    return time_ops(work)
-
-
-def bench_eligible_tree_churn(rounds: int) -> Tuple[float, int]:
-    rng = random.Random(0xBEEF)
-    tree: EligibleTree[int] = EligibleTree()
-    n = 1024
-    for i in range(n):
-        tree.insert(i, rng.random() * 100, rng.random() * 100)
-    updates = [
-        (i % n, rng.random() * 100, rng.random() * 100) for i in range(rounds)
-    ]
-
-    def work() -> int:
-        for item, eligible, deadline in updates:
-            tree.update(item, eligible, deadline)
-            tree.min_deadline_eligible(50.0)
-        return 2 * len(updates)
-
-    return time_ops(work)
-
-
-def bench_calendar_queue_churn(rounds: int) -> Tuple[float, int]:
-    rng = random.Random(0xBEEF)
-    cq: CalendarQueue[int] = CalendarQueue(bucket_width=0.1)
-    n = 1024
-    for i in range(n):
-        cq.insert(i, rng.random() * 10)
-    jitter = [rng.random() * 10 for _ in range(rounds)]
-
-    def work() -> int:
-        for delta in jitter:
-            item, t = cq.pop_min()
-            cq.insert(item, t + delta)
-        return 2 * len(jitter)
 
     return time_ops(work)
 
@@ -365,12 +327,6 @@ def tracked_benches(quick: bool) -> Dict[str, TrackedBench]:
             (lambda: bench_heap_update(micro_rounds), {"batch_size": 1}),
         "micro/heap_push_pop":
             (lambda: bench_heap_push_pop(micro_rounds), {"batch_size": 1}),
-        "micro/eligible_tree_churn":
-            (lambda: bench_eligible_tree_churn(micro_rounds),
-             {"batch_size": 1}),
-        "micro/calendar_queue_churn":
-            (lambda: bench_calendar_queue_churn(micro_rounds),
-             {"batch_size": 1}),
         "micro/runtime_curve":
             (lambda: bench_runtime_curve(micro_rounds), {"batch_size": 1}),
     }

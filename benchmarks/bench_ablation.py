@@ -1,10 +1,7 @@
 """Ablation benches for the design choices DESIGN.md calls out.
 
-Three knobs of the H-FSC design are isolated here:
+Two knobs of the H-FSC design are isolated here:
 
-* **eligible-set backend** -- Section V offers an augmented tree or a
-  calendar queue + heap; both are implemented, proven equivalent by the
-  tests, and timed against each other here.
 * **system virtual time policy** -- Section IV-C argues for
   ``(v_min + v_max)/2``; the bench quantifies the sibling virtual-time
   spread under "mean" vs "min" vs "max" (the alternatives make the
@@ -26,36 +23,6 @@ from repro.sim.packet import Packet
 
 def lin(rate):
     return ServiceCurve.linear(rate)
-
-
-def _mixed_workload(seed, n_classes=32, horizon=2.0):
-    rng = random.Random(seed)
-    arrivals = []
-    for cid in range(n_classes):
-        t = 0.0
-        while t < horizon:
-            t += rng.expovariate(50.0)
-            arrivals.append((t, cid, rng.choice([200.0, 800.0, 1500.0])))
-    return arrivals
-
-
-def _build(backend, n_classes=32, link=1_000_000.0):
-    sched = HFSC(link, eligible_backend=backend, admission_control=False)
-    for cid in range(n_classes):
-        rate = link / (2 * n_classes)
-        sched.add_class(cid, sc=ServiceCurve(3 * rate, 0.02, rate))
-    return sched
-
-
-@pytest.mark.parametrize("backend", ["tree", "calendar"])
-def test_eligible_backend_throughput(benchmark, backend):
-    arrivals = _mixed_workload(7)
-
-    def work():
-        return drive(_build(backend), list(arrivals), until=60.0)
-
-    served = benchmark(work)
-    assert len(served) == len(arrivals)
 
 
 @pytest.mark.parametrize("policy", ["mean", "min", "max"])

@@ -1,9 +1,8 @@
 """Micro-benchmarks for the substrate data structures and curve ops.
 
 Complements E9: where E9 measures whole-scheduler per-packet cost, these
-isolate the O(log n) containers of Section V (indexed heap, augmented
-eligible tree, calendar queue) and the O(1) runtime-curve updates of
-Fig. 8, so regressions can be localized.
+isolate the indexed heap and the O(1) runtime-curve updates of Fig. 8, so
+regressions can be localized.
 """
 
 import random
@@ -12,8 +11,6 @@ import pytest
 
 from repro.core.curves import ServiceCurve
 from repro.core.runtime_curves import RuntimeCurve
-from repro.util.calendar_queue import CalendarQueue
-from repro.util.eligible_tree import EligibleTree
 from repro.util.heap import IndexedHeap
 
 N = 1024
@@ -46,43 +43,6 @@ def test_heap_push_pop(benchmark, rng):
             heap.push(i, key)
         while heap:
             heap.pop()
-
-    benchmark(work)
-
-
-def test_eligible_tree_query(benchmark, rng):
-    tree = EligibleTree()
-    for i in range(N):
-        tree.insert(i, rng.random() * 100, rng.random() * 100)
-
-    def work():
-        return tree.min_deadline_eligible(50.0)
-
-    benchmark(work)
-
-
-def test_eligible_tree_update(benchmark, rng):
-    tree = EligibleTree()
-    for i in range(N):
-        tree.insert(i, rng.random() * 100, rng.random() * 100)
-
-    def work():
-        for i in range(0, N, 8):
-            tree.update(i, rng.random() * 100, rng.random() * 100)
-
-    benchmark(work)
-
-
-def test_calendar_queue_churn(benchmark, rng):
-    cq = CalendarQueue(bucket_width=0.1)
-    time = [0.0]
-    for i in range(N):
-        cq.insert(i, rng.random() * 10)
-
-    def work():
-        for _ in range(64):
-            item, t = cq.pop_min()
-            cq.insert(item, t + rng.random() * 10)
 
     benchmark(work)
 

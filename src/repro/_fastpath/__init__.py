@@ -42,9 +42,9 @@ LOAD_ERROR: Optional[str] = None
 
 #: The kernels :mod:`repro.core.flatstate` rebinds to the compiled module.
 KERNELS = (
-    "serve_commit", "serve_step", "activate", "activate_step",
-    "activate_ls", "passivate_ls", "ls_descend", "elig_insert",
-    "elig_remove", "elig_update", "elig_requeue", "elig_query",
+    "serve_step", "activate_step", "activate_ls", "passivate_ls",
+    "ls_descend", "elig_insert", "elig_remove", "elig_update",
+    "elig_requeue", "elig_query",
 )
 
 
@@ -115,7 +115,7 @@ def _smoke_test(mod) -> None:
     state.ls_on[leaf] = 1
     mod.activate_ls(state, leaf, flatstate.VT_MEAN)
     assert state.nactive[root] == 1 and state.ls_active[leaf] == 1
-    mod.serve_commit(state, leaf, 100.0, True, False, False, 0.0)
+    mod.serve_step(state, leaf, 100.0, True, False, False, 0.0, 0.0)
     assert state.nactive[root] == 0 and state.total_work[leaf] == 100.0
     assert abs(state.vt[leaf] - 1.0) < 1e-12
     mod.elig_insert(state, leaf, 0.5, 1.0)
@@ -124,8 +124,8 @@ def _smoke_test(mod) -> None:
     mod.elig_update(state, leaf, 2.0, 3.0)
     mod.elig_remove(state, leaf)
     assert state.efut_pos[leaf] == -1 and state.erdy_pos[leaf] == -1
-    # Fused kernels: requeue a due request in place, then one serve_step
-    # and one activate_step round trip (each reactivates before serving).
+    # Requeue a due request in place, then a second serve and an
+    # activation that inserts a request.
     mod.elig_insert(state, leaf, 0.5, 1.0)
     assert mod.elig_query(state, 0.75) == leaf
     mod.elig_requeue(state, leaf, 0.6, 2.0, 0.75)

@@ -23,8 +23,8 @@ This module flattens that state into parallel arrays indexed by a dense
   ``IndexedHeap`` instances per interior class) are flat parallel lists
   ``key/seq/slot`` plus one global position array per side.
 
-The kernels in this module (:func:`serve_commit`, :func:`activate`,
-:func:`passivate`, :func:`ls_descend`) re-implement the seed hot path
+The kernels in this module (:func:`serve_step`, :func:`activate_step`,
+:func:`passivate_ls`, :func:`ls_descend`) re-implement the seed hot path
 *operation for operation* over these arrays: every float expression and
 every heap/tree mutation happens in the same order with the same
 operands, so schedules are byte-identical -- the golden-digest suite
@@ -691,22 +691,17 @@ def system_vt(state: FlatState, slot: int, policy: int) -> float:
 
 # -- flat eligible set -------------------------------------------------------
 #
-# The "heap" eligible-set backend: the paper's calendar-queue variant
-# (Section V: eligible times tracked separately, deadlines in a heap for
-# the matured requests) rebuilt on flat indexed heaps over FlatState
-# slots.  Requests whose eligible time has not arrived sit in a *future*
-# heap keyed ``(eligible, insertion seq)``; a query at ``now`` first
-# matures everything due into a *ready* heap keyed ``(deadline,
-# maturation seq)`` and answers from its root.  Simulation time only
-# advances between queries, so matured requests never move back --
-# ``update`` re-inserts through the future heap, exactly like the
-# calendar backend.
-#
-# Selection is identical to the tree/calendar backends away from exact
-# deadline ties (the one place backends may legitimately differ, see
-# tests/golden_scenarios.py); unlike the treap there is no RNG and no
-# pointer chasing, so the per-serve remove+insert is two short list
-# sifts.
+# The real-time request set: the paper's calendar-queue variant (Section
+# V: eligible times tracked separately, deadlines in a heap for the
+# matured requests) on flat indexed heaps over FlatState slots.  Requests
+# whose eligible time has not arrived sit in a *future* heap keyed
+# ``(eligible, insertion seq)``; a query at ``now`` first matures
+# everything due into a *ready* heap keyed ``(deadline, maturation seq)``
+# and answers from its root, so exact deadline ties go to the request
+# that matured first.  Simulation time only advances between queries, so
+# matured requests never move back -- ``update`` re-inserts through the
+# future heap.  There is no RNG and no pointer chasing: the per-serve
+# re-key is one or two short list sifts.
 
 
 def _eheap_delete(keys, seqs, slots, pos, i: int) -> None:
@@ -793,10 +788,14 @@ def elig_query(state: FlatState, now: float) -> int:
 
 
 def elig_min_eligible(state: FlatState) -> Optional[float]:
-    """Earliest eligible time, matching the calendar backend's answer."""
+    """Earliest eligible time of a request, or None when the set is empty.
+
+    While any request has matured the answer is the smallest eligible
+    time recorded among the matured ones (each at or before the last
+    query's ``now``, so a caller looking for a wakeup sees "ready");
+    otherwise it is the future heap's root.
+    """
     if state.erdy_key:
-        # Matured requests are eligible "now"; report the smallest
-        # recorded eligible time for parity with the tree backend.
         req_e = state.req_e
         return min(req_e[slot] for slot in state.erdy_slot)
     if state.efut_key:
@@ -820,107 +819,44 @@ def elig_clear(state: FlatState) -> None:
     state.erdy_ctr = 0
 
 
-class FlatEligibleSet:
-    """Eligible-set protocol over one scheduler's FlatState arrays.
+def elig_contains(state: FlatState, slot: int) -> bool:
+    """Does ``slot`` hold a request, in either stage?"""
+    return state.efut_pos[slot] != -1 or state.erdy_pos[slot] != -1
 
-    Items are the class façade objects (``(state, slot)`` handles); all
-    storage lives in the shared FlatState so the kernels and a compiled
-    fast path can reach it without touching Python objects.
+
+def elig_check(state: FlatState) -> None:
+    """Assert the eligible heaps are well formed.
+
+    Heap order on ``(key, seq)``, position maps exact in both directions,
+    every key equal to the recorded request it stands for (eligible time
+    in the future heap, deadline in the ready heap), and no slot in both
+    heaps.
     """
-
-    __slots__ = ("_s",)
-
-    def __init__(self, state: FlatState) -> None:
-        self._s = state
-        elig_clear(state)
-
-    def __len__(self) -> int:
-        s = self._s
-        return len(s.efut_key) + len(s.erdy_key)
-
-    def __bool__(self) -> bool:
-        s = self._s
-        return bool(s.efut_key) or bool(s.erdy_key)
-
-    def __contains__(self, item: Any) -> bool:
-        s = self._s
-        if item.state is not s:
-            return False
-        slot = item.slot
-        return s.efut_pos[slot] != -1 or s.erdy_pos[slot] != -1
-
-    def _slot_of(self, item: Any) -> int:
-        if item not in self:
-            raise KeyError(item)
-        return item.slot
-
-    def eligible_of(self, item: Any) -> float:
-        return self._s.req_e[self._slot_of(item)]
-
-    def deadline_of(self, item: Any) -> float:
-        return self._s.req_d[self._slot_of(item)]
-
-    def insert(self, item: Any, eligible: float, deadline: float) -> None:
-        s = self._s
-        if item.state is not s:
-            raise ValueError(f"item belongs to a different state: {item!r}")
-        if s.efut_pos[item.slot] != -1 or s.erdy_pos[item.slot] != -1:
-            raise ValueError(f"item already present: {item!r}")
-        elig_insert(s, item.slot, eligible, deadline)
-
-    def remove(self, item: Any) -> None:
-        elig_remove(self._s, self._slot_of(item))
-
-    def update(self, item: Any, eligible: float, deadline: float) -> None:
-        elig_update(self._s, self._slot_of(item), eligible, deadline)
-
-    def update_deadline(self, item: Any, deadline: float) -> None:
-        slot = self._slot_of(item)
-        elig_update(self._s, slot, self._s.req_e[slot], deadline)
-
-    def min_eligible(self) -> Optional[float]:
-        return elig_min_eligible(self._s)
-
-    def min_deadline_eligible(
-        self, now: float
-    ) -> Optional[Tuple[Any, float, float]]:
-        s = self._s
-        slot = elig_query(s, now)
-        if slot < 0:
-            return None
-        return s.obj[slot], s.req_e[slot], s.req_d[slot]
-
-    def items(self) -> Iterator[Tuple[Any, float, float]]:
-        """All requests in eligible-time order (mainly for tests).
-
-        Exact eligible-time ties are ordered by deadline then slot index;
-        like the backends' tie behaviour generally, this may differ from
-        the treap's insertion-order rule.
-        """
-        s = self._s
-        members = list(s.efut_slot) + list(s.erdy_slot)
-        members.sort(key=lambda slot: (s.req_e[slot], s.req_d[slot],
-                                       s.index[slot]))
-        for slot in members:
-            yield s.obj[slot], s.req_e[slot], s.req_d[slot]
-
-    def check_invariants(self) -> None:
-        """Verify heap order and position maps (for tests)."""
-        s = self._s
-        for keys, seqs, slots, pos in (
-            (s.efut_key, s.efut_seq, s.efut_slot, s.efut_pos),
-            (s.erdy_key, s.erdy_seq, s.erdy_slot, s.erdy_pos),
-        ):
-            assert len(keys) == len(seqs) == len(slots)
-            for i in range(1, len(keys)):
-                parent = (i - 1) >> 1
-                assert (keys[parent], seqs[parent]) <= (keys[i], seqs[i]), (
-                    "eligible heap order violated"
-                )
-            for i, slot in enumerate(slots):
-                assert pos[slot] == i, "eligible position map stale"
-        for slot in s.efut_slot:
-            assert s.erdy_pos[slot] == -1, "slot in both eligible heaps"
+    for keys, seqs, slots, pos, recorded in (
+        (state.efut_key, state.efut_seq, state.efut_slot, state.efut_pos,
+         state.req_e),
+        (state.erdy_key, state.erdy_seq, state.erdy_slot, state.erdy_pos,
+         state.req_d),
+    ):
+        assert len(keys) == len(seqs) == len(slots), (
+            "eligible heap columns differ in length"
+        )
+        for i in range(1, len(keys)):
+            parent = (i - 1) >> 1
+            assert (keys[parent], seqs[parent]) <= (keys[i], seqs[i]), (
+                "eligible heap order violated"
+            )
+        for i, slot in enumerate(slots):
+            assert pos[slot] == i, "eligible position map stale"
+            assert keys[i] == recorded[slot], (
+                "eligible heap key differs from the recorded request"
+            )
+        assert len(pos) - pos.count(-1) == len(slots), (
+            "eligible position map names a slot the heap does not hold"
+        )
+    erdy_pos = state.erdy_pos
+    for slot in state.efut_slot:
+        assert erdy_pos[slot] == -1, "slot in both eligible heaps"
 
 
 # -- hot-path kernels --------------------------------------------------------
@@ -1002,14 +938,13 @@ def passivate_ls(state: FlatState, slot: int) -> None:
         s = p
 
 
-def activate(state: FlatState, slot: int, now: float, rt_tracked: bool,
-             head_size: float, policy: int) -> None:
-    """HFSC._activate: Fig. 5(a) update_ed + Fig. 6 update_v, flat.
+def activate_step(state: FlatState, slot: int, now: float, rt_tracked: bool,
+                  head_size: float, policy: int) -> None:
+    """A leaf's passive->active transition: Fig. 5(a) update_ed, the
+    eligible-set insert and Fig. 6 update_v, in one call.
 
-    The shell is responsible for the eligible-set insert (when
-    ``rt_tracked``) and the upper-limit wait-heap push (when the class
-    has an ul spec), reading the freshly written ``eligible``,
-    ``deadline`` and ``fit_time`` cells.
+    The upper-limit wait-heap push stays in the shell (that heap holds
+    façade objects); it reads the freshly written ``fit_time`` cell.
     """
     c = state.cumul_rt[slot]
     if rt_tracked:
@@ -1048,18 +983,21 @@ def activate(state: FlatState, slot: int, now: float, rt_tracked: bool,
             state.ul_kx, state.ul_ky, slot, w)
     if state.ls_on[slot]:
         activate_ls(state, slot, policy)
+    if rt_tracked:
+        elig_insert(state, slot, state.eligible[slot], state.deadline[slot])
 
 
-def serve_commit(state: FlatState, slot: int, size: float, realtime: bool,
-                 rt_tracked: bool, backlogged: bool, next_size: float) -> None:
-    """The state mutation of HFSC._serve after the packet left the queue.
+def serve_step(state: FlatState, slot: int, size: float, realtime: bool,
+               rt_tracked: bool, backlogged: bool, next_size: float,
+               now: float) -> None:
+    """The state mutation of one serve, after the packet left the queue.
 
     Covers: real-time counters, the Fig. 6 ancestor virtual-time walk
     with its heap re-keying (or the dying-path skip), the upper-limit fit
-    update, the Fig. 5 eligible/deadline advance for a still-backlogged
-    leaf, and the link-sharing passivation walk otherwise.  The shell
-    performs the eligible-set and ul-wait-heap mutations around this call
-    (those structures hold façade objects).
+    update, the Fig. 5 eligible/deadline advance and request re-key
+    (:func:`elig_requeue`) for a still-backlogged leaf, and otherwise the
+    request drop and the link-sharing passivation walk.  The shell
+    updates the ul-wait heap after this call (it holds façade objects).
     """
     if realtime:
         state.cumul_rt[slot] += size
@@ -1163,8 +1101,13 @@ def serve_commit(state: FlatState, slot: int, size: float, realtime: bool,
                     state.deadline[slot] = (
                         INF if m2 == 0 else knee_x + (y - knee_y) / m2
                     )
-    elif state.ls_on[slot]:
-        passivate_ls(state, slot)
+            elig_requeue(state, slot, state.eligible[slot],
+                         state.deadline[slot], now)
+    else:
+        if state.ls_on[slot]:
+            passivate_ls(state, slot)
+        if rt_tracked:
+            elig_remove(state, slot)
 
 
 def elig_requeue(state: FlatState, slot: int, eligible: float,
@@ -1178,9 +1121,7 @@ def elig_requeue(state: FlatState, slot: int, eligible: float,
     replaced by one in-place re-key with a fresh maturation seq -- the
     exact state the next query would build, minus the churn.  The fresh
     seq orders exact deadline ties by *this* serve order rather than by
-    the future heap's maturation order; deadline ties are the one point
-    where eligible-set backends may legitimately differ (see
-    tests/golden_scenarios.py), and every caller -- per-packet and
+    the future heap's maturation order; every caller -- per-packet and
     batched, pure and compiled -- routes through this same rule.
     """
     if eligible <= now:
@@ -1239,42 +1180,6 @@ def elig_requeue(state: FlatState, slot: int, eligible: float,
             return
     elig_remove(state, slot)
     elig_insert(state, slot, eligible, deadline)
-
-
-def serve_step(state: FlatState, slot: int, size: float, realtime: bool,
-               rt_tracked: bool, backlogged: bool, next_size: float,
-               now: float) -> None:
-    """:func:`serve_commit` fused with the flat eligible-set maintenance.
-
-    One kernel call per served packet instead of two or three: the
-    serve bookkeeping runs first, then the request for a still-backlogged
-    tracked leaf is re-keyed (:func:`elig_requeue`) or a drained leaf's
-    request is dropped.  Only valid with the flat ("heap") eligible
-    backend -- the legacy backends keep façade objects the shell must
-    touch itself.
-    """
-    serve_commit(state, slot, size, realtime, rt_tracked, backlogged,
-                 next_size)
-    if rt_tracked:
-        if backlogged:
-            elig_requeue(state, slot, state.eligible[slot],
-                         state.deadline[slot], now)
-        else:
-            elig_remove(state, slot)
-
-
-def activate_step(state: FlatState, slot: int, now: float, rt_tracked: bool,
-                  head_size: float, policy: int) -> None:
-    """:func:`activate` fused with the flat eligible-set insert.
-
-    The passive->active update writes ``eligible``/``deadline``; with the
-    flat backend the request insert needs no façade, so the whole
-    transition is one kernel call.  The upper-limit wait-heap push stays
-    in the shell (that heap holds façade objects).
-    """
-    activate(state, slot, now, rt_tracked, head_size, policy)
-    if rt_tracked:
-        elig_insert(state, slot, state.eligible[slot], state.deadline[slot])
 
 
 def ls_descend(state: FlatState, root_slot: int) -> int:
@@ -1513,6 +1418,9 @@ from repro import _fastpath  # noqa: E402
 
 _fast = _fastpath.load()  # never raises; says so on stderr when it falls back
 COMPILED = _fast is not None
+#: The pure-Python kernels, reachable even when the compiled ones are live
+#: (the equivalence tests drive both in one process).
+PURE_KERNELS = {name: globals()[name] for name in _fastpath.KERNELS}
 if COMPILED:  # pragma: no cover - exercised via the compiled CI leg
     for _name in _fastpath.KERNELS:
         globals()[_name] = getattr(_fast, _name)

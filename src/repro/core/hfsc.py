@@ -20,9 +20,10 @@ H-FSC schedules a class hierarchy over one output link using two criteria:
 
 The implementation follows the paper's pseudo-code (Figs. 4-6) and the O(1)
 two-piece curve machinery of Section V.  Complexity is O(log n) per packet
-arrival and departure: the real-time request set is the augmented tree of
-:mod:`repro.util.eligible_tree`, and each interior class keeps indexed heaps
-over its active children's virtual times.
+arrival and departure: the real-time request set is the calendar-queue
+variant of Section V (a future heap keyed by eligible time feeding a ready
+heap keyed by deadline, :mod:`repro.core.flatstate`), and each interior
+class keeps indexed heaps over its active children's virtual times.
 
 Extensions beyond the paper, both off by default and marked in the API:
 
@@ -53,7 +54,6 @@ from repro.core import flatstate as _flat
 from repro.core.flatstate import (
     NAN,
     CurveView,
-    FlatEligibleSet,
     FlatState,
     HeapView,
     heap_iter_sorted,
@@ -62,7 +62,6 @@ from repro.core.runtime_curves import RuntimeCurve, eligible_spec
 from repro.obs.core import TELEMETRY as _TELEM
 from repro.schedulers.base import Scheduler
 from repro.sim.packet import Packet
-from repro.util.eligible_set import make_eligible_set
 from repro.util.heap import IndexedHeap
 
 ROOT = "__root__"
@@ -83,6 +82,12 @@ UNCHANGED = object()
 
 #: Valid values for ``HFSC(overload_policy=...)``.
 OVERLOAD_POLICIES = ("raise", "reject", "scale-rt", "linkshare-only")
+
+#: ``config.eligible_backend`` values a snapshot may carry.  Snapshots
+#: write "heap"; "tree" and "calendar" name real-time request sets that
+#: earlier versions offered.  Restore re-derives eligible-set membership
+#: from the queues, so their checkpoints resume unchanged.
+_SNAPSHOT_ELIGIBLE_SETS = ("heap", "tree", "calendar")
 
 
 # -- snapshot codec helpers (shared with repro.persist) ----------------------
@@ -416,15 +421,6 @@ class HFSC(Scheduler):
         When True (default) the scheduler verifies, lazily before the first
         packet after any topology change, that the sum of the leaves'
         real-time curves does not exceed the link rate (Section II).
-    eligible_backend:
-        ``"heap"`` (default) keeps the requests in flat future/ready
-        heaps inside the shared :class:`~repro.core.flatstate.FlatState`
-        (the calendar-variant semantics of Section V without the object
-        churn); ``"tree"`` uses the augmented binary tree of Section V;
-        ``"calendar"`` uses the calendar-queue + deadline-heap
-        alternative the same section describes.  Identical semantics
-        away from exact deadline ties, different constants (see
-        ``benchmarks/bench_ablation.py``).
     vt_policy:
         System virtual time for a class whose child activates:
         ``"mean"`` (default) is the paper's ``(v_min + v_max) / 2``;
@@ -459,7 +455,6 @@ class HFSC(Scheduler):
         self,
         link_rate: float,
         admission_control: bool = True,
-        eligible_backend: str = "heap",
         vt_policy: str = "mean",
         realtime: bool = True,
         overload_policy: str = "raise",
@@ -495,29 +490,12 @@ class HFSC(Scheduler):
                               None, state=self._flat)
         self.root.vt_policy = vt_policy
         self._classes: Dict[Any, HFSCClass] = {ROOT: self.root}
-        self._eligible_backend = eligible_backend
-        self._eligible = self._make_eligible_set()
-        # The heap backend lives in the flat arrays, so the hot path can
-        # call its kernels with slot ids instead of the object protocol.
-        self._flat_elig = eligible_backend == "heap"
         self._ul_classes: Set[HFSCClass] = set()
         self._next_index = 1
         # Backlogged upper-limited leaves keyed by fit time, so
         # next_ready_time() needs the earliest future fit rather than a
         # scan of every upper-limited class.
         self._ul_wait: IndexedHeap[HFSCClass] = IndexedHeap()
-
-    def _make_eligible_set(self):
-        """Fresh (empty) eligible set for the configured backend.
-
-        The "heap" backend lives inside the shared flat state, so it is
-        built here rather than in :func:`make_eligible_set` (which has no
-        access to ``self._flat``); constructing it clears any previous
-        membership.
-        """
-        if self._eligible_backend == "heap":
-            return FlatEligibleSet(self._flat)
-        return make_eligible_set(self._eligible_backend)
 
     # -- hierarchy construction ---------------------------------------------
 
@@ -691,8 +669,8 @@ class HFSC(Scheduler):
             cls.rt_spec = new_rt
             cls.rt_admitted = True  # a fresh request; re-vetted lazily
             if new_rt is None:
-                if cls in self._eligible:
-                    self._eligible.remove(cls)
+                if _flat.elig_contains(self._flat, cls.slot):
+                    _flat.elig_remove(self._flat, cls.slot)
                 cls.deadline_curve = None
                 cls.eligible_curve = None
             else:
@@ -773,7 +751,7 @@ class HFSC(Scheduler):
         old virtual times so link-sharing stays monotonic across the
         rebuild.
         """
-        self._eligible = self._make_eligible_set()
+        _flat.elig_clear(self._flat)
         self._ul_wait = IndexedHeap()
         packets = 0
         size = 0.0
@@ -871,17 +849,11 @@ class HFSC(Scheduler):
         leaf: Optional[HFSCClass] = None
         realtime = False
         if self.realtime_enabled and not self.rt_suspended:
-            if self._flat_elig:
-                state = self._flat
-                slot = _flat.elig_query(state, now)
-                if slot >= 0:
-                    leaf = state.obj[slot]
-                    realtime = True
-            else:
-                request = self._eligible.min_deadline_eligible(now)
-                if request is not None:
-                    leaf = request[0]
-                    realtime = True
+            state = self._flat
+            slot = _flat.elig_query(state, now)
+            if slot >= 0:
+                leaf = state.obj[slot]
+                realtime = True
         if leaf is None:
             leaf = self._link_sharing_select(now)
         if leaf is None:
@@ -894,7 +866,7 @@ class HFSC(Scheduler):
 
     def next_ready_time(self, now: float) -> Optional[float]:
         if self.realtime_enabled and not self.rt_suspended:
-            best = self._eligible.min_eligible()
+            best = _flat.elig_min_eligible(self._flat)
         else:
             best = None
         # The earliest *future* fit time among backlogged upper-limited
@@ -924,7 +896,6 @@ class HFSC(Scheduler):
         adm = self._admission_control
         telem = _TELEM
         telem_on = telem.enabled
-        flat_elig = self._flat_elig
         state = self._flat
         activate_step = _flat.activate_step
         rt_on = state.rt_on
@@ -951,18 +922,14 @@ class HFSC(Scheduler):
                 queue = cls.queue
                 queue.append(packet)
                 if len(queue) == 1:
-                    if flat_elig:
-                        # The _activate shell, inlined: the arriving
-                        # packet is the head, so head_size == size.
-                        slot = cls.slot
-                        rt_tracked = (rt_on[slot] != 0 and rt_enabled
-                                      and rt_adm[slot] != 0)
-                        activate_step(state, slot, now, rt_tracked, size,
-                                      policy)
-                        if ulsp_on[slot]:
-                            self._ul_wait.push(cls, fit_time[slot])
-                    else:
-                        self._activate(cls, now)
+                    # The _activate shell, inlined: the arriving packet
+                    # is the head, so head_size == size.
+                    slot = cls.slot
+                    rt_tracked = (rt_on[slot] != 0 and rt_enabled
+                                  and rt_adm[slot] != 0)
+                    activate_step(state, slot, now, rt_tracked, size, policy)
+                    if ulsp_on[slot]:
+                        self._ul_wait.push(cls, fit_time[slot])
         finally:
             # Commit counters even when a packet mid-batch raises: the
             # earlier packets are enqueued, exactly as a caller's own
@@ -978,13 +945,11 @@ class HFSC(Scheduler):
         maintenance run inlined with the flat-state arrays and kernels
         bound once per batch; the link-sharing descent and every
         rarely-taken branch call the same helpers the per-packet path
-        uses.  Legacy eligible-set backends take the base-class loop.
+        uses.
         """
         served: List[Packet] = []
         if max_packets <= 0 or self._backlog_packets == 0:
             return served
-        if not self._flat_elig:
-            return super().dequeue_batch(now, max_packets)
         state = self._flat
         elig_query = _flat.elig_query
         serve_step = _flat.serve_step
@@ -1060,16 +1025,22 @@ class HFSC(Scheduler):
 
     def eligible_count(self) -> int:
         """Number of leaves currently in the real-time eligible set."""
-        return len(self._eligible)
+        state = self._flat
+        return len(state.efut_key) + len(state.erdy_key)
 
     def check_invariants(self) -> None:
         """Verify internal consistency (used by the property tests).
 
         Checks: active/passive bookkeeping matches queue contents, heap
-        membership matches activity, per-class byte accounting sums to the
-        scheduler totals, rt service never exceeds total service, and the
-        rt demand aggregate equals the sum of the leaves' requested curves.
+        membership matches activity, the eligible heaps are well formed
+        (:func:`~repro.core.flatstate.elig_check`), per-class byte
+        accounting sums to the scheduler totals, rt service never exceeds
+        total service, and the rt demand aggregate equals the sum of the
+        leaves' requested curves.
         """
+        state = self._flat
+        _flat.elig_check(state)
+        rt_enabled = self.realtime_enabled
         total_backlog_packets = 0
         total_backlog_bytes = 0.0
         # One ancestor walk per backlogged leaf marks every interior class
@@ -1089,11 +1060,13 @@ class HFSC(Scheduler):
                 total_backlog_bytes += sum(p.size for p in cls.queue)
                 if cls.rt_requested is not None:
                     rt_demand.add(cls.rt_requested)
-                if cls.rt_spec is not None and self.realtime_enabled:
-                    in_set = cls in self._eligible
-                    assert in_set == (bool(cls.queue) and cls.rt_admitted), (
-                        f"{cls.name!r}: eligible-set membership inconsistent"
-                    )
+                slot = cls.slot
+                tracked = (rt_enabled and state.rt_on[slot] != 0
+                           and state.rt_adm[slot] != 0)
+                in_set = _flat.elig_contains(state, slot)
+                assert in_set == (tracked and bool(cls.queue)), (
+                    f"{cls.name!r}: eligible-set membership inconsistent"
+                )
                 assert cls.cumul_rt <= cls.total_work + 1e-6, (
                     f"{cls.name!r}: rt service exceeds total service"
                 )
@@ -1219,7 +1192,7 @@ class HFSC(Scheduler):
             "config": {
                 "link_rate": self.link_rate,
                 "admission_control": self._admission_control,
-                "eligible_backend": self._eligible_backend,
+                "eligible_backend": "heap",
                 "vt_policy": self.vt_policy,
                 "realtime": self.realtime_enabled,
                 "overload_policy": self.overload_policy,
@@ -1279,11 +1252,16 @@ class HFSC(Scheduler):
         _require_keys(config, ("link_rate", "admission_control",
                                "eligible_backend", "vt_policy", "realtime",
                                "overload_policy"), "HFSC config")
+        if config["eligible_backend"] not in _SNAPSHOT_ELIGIBLE_SETS:
+            raise SnapshotError(
+                "snapshot carries an invalid configuration: unknown "
+                f"eligible set {config['eligible_backend']!r}",
+                reason="bad-config",
+            )
         try:
             sched = cls(
                 link_rate=config["link_rate"],
                 admission_control=config["admission_control"],
-                eligible_backend=config["eligible_backend"],
                 vt_policy=config["vt_policy"],
                 realtime=config["realtime"],
                 overload_policy=config["overload_policy"],
@@ -1438,7 +1416,8 @@ class HFSC(Scheduler):
                     "curve",
                     reason="missing-curve",
                 )
-            self._eligible.insert(node, node.eligible, node.deadline)
+            _flat.elig_insert(self._flat, node.slot, node.eligible,
+                              node.deadline)
         # Upper-limit wait heap, in the stored fit-time order.
         expected_wait = {
             node.name
@@ -1683,8 +1662,8 @@ class HFSC(Scheduler):
         stripped = [cls for cls in rejected if cls.rt_admitted]
         for cls in stripped:
             cls.rt_admitted = False
-            if cls in self._eligible:
-                self._eligible.remove(cls)
+            if _flat.elig_contains(self._flat, cls.slot):
+                _flat.elig_remove(self._flat, cls.slot)
             cls.deadline_curve = None
             cls.eligible_curve = None
         if stripped:
@@ -1701,11 +1680,13 @@ class HFSC(Scheduler):
         re-anchored at the class's current cumulative service as if its
         backlog had just started.
         """
+        state = self._flat
+        slot = leaf.slot
         if not self._rt_tracked(leaf):
             leaf.deadline_curve = None
             leaf.eligible_curve = None
-            if leaf in self._eligible:
-                self._eligible.remove(leaf)
+            if _flat.elig_contains(state, slot):
+                _flat.elig_remove(state, slot)
             return
         if not leaf.queue:
             # Idle: nothing to schedule; _activate rebuilds from the new
@@ -1722,10 +1703,10 @@ class HFSC(Scheduler):
         leaf.deadline = leaf.deadline_curve.inverse(
             leaf.cumul_rt + leaf.queue[0].size
         )
-        if leaf in self._eligible:
-            self._eligible.update(leaf, leaf.eligible, leaf.deadline)
+        if _flat.elig_contains(state, slot):
+            _flat.elig_update(state, slot, leaf.eligible, leaf.deadline)
         else:
-            self._eligible.insert(leaf, leaf.eligible, leaf.deadline)
+            _flat.elig_insert(state, slot, leaf.eligible, leaf.deadline)
 
     def _record_overload(self, policy: str, now: Optional[float] = None,
                          **details: Any) -> None:
@@ -1753,8 +1734,8 @@ class HFSC(Scheduler):
         leaf.queue.clear()
         for packet in drained:
             self._note_return(packet)
-        if leaf.rt_spec is not None and leaf in self._eligible:
-            self._eligible.remove(leaf)
+        if _flat.elig_contains(self._flat, leaf.slot):
+            _flat.elig_remove(self._flat, leaf.slot)
         if leaf.ul_spec is not None and leaf in self._ul_wait:
             self._ul_wait.remove(leaf)
         if leaf.ls_active:
@@ -1781,9 +1762,9 @@ class HFSC(Scheduler):
     def _activate(self, leaf: HFSCClass, now: float) -> None:
         """Fig. 5(a) update_ed + Fig. 6 update_v on passive->active.
 
-        All state mutation happens in the flat kernel; this shell only
-        performs the eligible-set / ul-wait-heap insertions, which hold
-        façade objects.
+        All state mutation, the eligible-set insert included, happens in
+        the flat kernel; this shell only pushes onto the ul-wait heap,
+        which holds façade objects.
         """
         state = self._flat
         slot = leaf.slot
@@ -1792,15 +1773,8 @@ class HFSC(Scheduler):
             and self.realtime_enabled
             and state.rt_adm[slot] != 0
         )
-        if self._flat_elig:
-            _flat.activate_step(state, slot, now, rt_tracked,
-                                leaf.queue[0].size, self._policy_code)
-        else:
-            _flat.activate(state, slot, now, rt_tracked, leaf.queue[0].size,
-                           self._policy_code)
-            if rt_tracked:
-                self._eligible.insert(leaf, state.eligible[slot],
-                                      state.deadline[slot])
+        _flat.activate_step(state, slot, now, rt_tracked, leaf.queue[0].size,
+                            self._policy_code)
         if state.ulsp_on[slot]:
             self._ul_wait.push(leaf, state.fit_time[slot])
 
@@ -1913,25 +1887,13 @@ class HFSC(Scheduler):
             _TELEM.on_hfsc_serve(leaf.name, size, now, realtime, packet.deadline)
         backlogged = bool(queue)
         next_size = queue[0].size if backlogged else 0.0
-        # Fig. 6 update_v, the Fig. 5 e/d advance, the upper-limit fit
-        # update and (on queue-empty) the link-sharing passivation all run
-        # in the flat kernel; the shell applies the results to the two
-        # structures that hold façade objects.  With the flat eligible
-        # backend the eligible-set maintenance is fused into the same
-        # kernel call (serve_step), so per-packet and batched serves share
-        # one deadline-tie rule.
-        if self._flat_elig:
-            _flat.serve_step(state, slot, size, realtime, rt_tracked,
-                             backlogged, next_size, now)
-        else:
-            _flat.serve_commit(state, slot, size, realtime, rt_tracked,
-                               backlogged, next_size)
-            if backlogged:
-                if rt_tracked:
-                    self._eligible.update(leaf, state.eligible[slot],
-                                          state.deadline[slot])
-            elif rt_tracked:
-                self._eligible.remove(leaf)
+        # Fig. 6 update_v, the Fig. 5 e/d advance with its eligible-set
+        # re-key, the upper-limit fit update and (on queue-empty) the
+        # request drop and link-sharing passivation all run in one kernel
+        # call, the same one dequeue_batch makes; the shell updates the
+        # ul-wait heap, which holds façade objects.
+        _flat.serve_step(state, slot, size, realtime, rt_tracked,
+                         backlogged, next_size, now)
         if state.ul_on[slot]:
             if backlogged:
                 self._ul_wait.update(leaf, state.fit_time[slot])

@@ -53,7 +53,7 @@ def _emit_digest(rows: List[Row], path: Optional[str]) -> str:
 
 def _run_drive(name: str, args) -> int:
     setup = DRIVE_SETUPS[name]
-    sched, arrivals, until = setup(args.backend)
+    sched, arrivals, until = setup()
     if args.resume:
         run = DriveRun.restore(load_snapshot(args.resume), arrivals)
         if run.until != until:
@@ -134,7 +134,7 @@ def _runtime_recorder_rows(ctx) -> List[Row]:
 
 def _run_runtime(name: str, args) -> int:
     setup = RUNTIME_SETUPS[name]
-    ctx, until = setup(args.backend)
+    ctx, until = setup()
     if args.resume:
         ctx.restore_body(load_snapshot(args.resume))
         print(f"resumed {name!r} at t={ctx.loop.now:g} "

@@ -46,7 +46,7 @@ def _cbr(arrivals: List[Arrival], cid: Any, rate: float, size: float,
         t += interval
 
 
-def e4_phases_setup(backend: str) -> DriveSetup:
+def e4_phases_setup() -> DriveSetup:
     """The Fig. 1 CMU / U.Pitt hierarchy through three activity phases."""
     link = 1_250_000.0
     tree = [
@@ -58,7 +58,7 @@ def e4_phases_setup(backend: str) -> DriveSetup:
         ("pitt.data", "pitt", 7.7 / 45.0),
     ]
     leaves = {"cmu.av", "cmu.data", "pitt.av", "pitt.data"}
-    sched = HFSC(link, eligible_backend=backend)
+    sched = HFSC(link)
     for name, parent, frac in tree:
         curve = lin(frac * link)
         if name in leaves:
@@ -76,12 +76,12 @@ def e4_phases_setup(backend: str) -> DriveSetup:
     return sched, arrivals, 8.0
 
 
-def e5_decoupling_setup(backend: str) -> DriveSetup:
+def e5_decoupling_setup() -> DriveSetup:
     """Audio + video + greedy ftp with concave curves (the E5 workload)."""
     link = 1_250_000.0
     audio_sc = ServiceCurve.from_delay(160.0, 0.005, 8_000.0)
     video_sc = ServiceCurve.from_delay(8_000.0, 0.010, 125_000.0)
-    sched = HFSC(link, eligible_backend=backend)
+    sched = HFSC(link)
     sched.add_class("audio", sc=audio_sc)
     sched.add_class("video", sc=video_sc)
     sched.add_class(
@@ -100,10 +100,10 @@ def e5_decoupling_setup(backend: str) -> DriveSetup:
     return sched, arrivals, 6.0
 
 
-def ul_caps_setup(backend: str) -> DriveSetup:
+def ul_caps_setup() -> DriveSetup:
     """Upper-limited classes among plain siblings (non-work-conserving)."""
     link = 100_000.0
-    sched = HFSC(link, admission_control=False, eligible_backend=backend)
+    sched = HFSC(link, admission_control=False)
     sched.add_class("agency", ls_sc=lin(0.61 * link))
     sched.add_class("rest", ls_sc=lin(0.39 * link))
     sched.add_class("a.capped", parent="agency", ls_sc=lin(0.31 * link),
@@ -123,10 +123,10 @@ def ul_caps_setup(backend: str) -> DriveSetup:
     return sched, arrivals, 14.0
 
 
-def rt_only_setup(backend: str) -> DriveSetup:
+def rt_only_setup() -> DriveSetup:
     """Real-time-only leaves: the scheduler declines while ineligible."""
     link = 10_000.0
-    sched = HFSC(link, admission_control=False, eligible_backend=backend)
+    sched = HFSC(link, admission_control=False)
     sched.add_class("slow", rt_sc=ServiceCurve(0.0, 0.07, 1_100.0))
     sched.add_class("fast", rt_sc=ServiceCurve(2_900.0, 0.05, 1_300.0))
     sched.add_class("bulk", sc=lin(3_700.0))
@@ -137,12 +137,9 @@ def rt_only_setup(backend: str) -> DriveSetup:
     return sched, arrivals, 8.0
 
 
-def hls_campus_setup(backend: str) -> DriveSetup:
+def hls_campus_setup() -> DriveSetup:
     """The Fig. 1 campus tree on the HLS round-robin backend.
 
-    ``backend`` selects the H-FSC eligible-set implementation and does
-    not apply to HLS; the crash matrix still sweeps it, which pins that
-    the HLS schedule is backend-independent (all three digests equal).
     The workload replays the e4 phase structure plus a full drain and a
     late re-activation burst, so the crash points land on ring joins,
     rotations and departures alike.
@@ -172,8 +169,8 @@ def hls_campus_setup(backend: str) -> DriveSetup:
     return sched, arrivals, 9.0
 
 
-def drr_leaves_setup(backend: str) -> DriveSetup:
-    """Skewed-quanta DRR over the e4 leaves (flat; ``backend`` ignored).
+def drr_leaves_setup() -> DriveSetup:
+    """Skewed-quanta DRR over the e4 leaves (flat).
 
     Mixed packet sizes against skewed quanta exercise the
     deficit-carrying path (head does not fit, flow yields with balance)
@@ -198,7 +195,7 @@ def drr_leaves_setup(backend: str) -> DriveSetup:
     return sched, arrivals, 8.0
 
 
-def eventloop_mixed_context(backend: str) -> Tuple[RunContext, float]:
+def eventloop_mixed_context() -> Tuple[RunContext, float]:
     """Full event-driven run: EventLoop + Link + stochastic sources.
 
     Every component that owns pending events or accumulates state is
@@ -207,7 +204,7 @@ def eventloop_mixed_context(backend: str) -> Tuple[RunContext, float]:
     """
     loop = EventLoop()
     link_rate = 50_000.0
-    sched = HFSC(link_rate, admission_control=False, eligible_backend=backend)
+    sched = HFSC(link_rate, admission_control=False)
     sched.add_class("voice", sc=ServiceCurve.from_delay(120.0, 0.004, 6_100.0))
     sched.add_class("video", sc=ServiceCurve(23_000.0, 0.017, 11_000.0))
     sched.add_class("data", rt_sc=ServiceCurve(0.0, 0.03, 7_900.0),
@@ -227,7 +224,7 @@ def eventloop_mixed_context(backend: str) -> Tuple[RunContext, float]:
 
 
 #: Drive-based checkpointable scenarios (name -> setup).
-DRIVE_SETUPS: Dict[str, Callable[[str], DriveSetup]] = {
+DRIVE_SETUPS: Dict[str, Callable[[], DriveSetup]] = {
     "e4_phases": e4_phases_setup,
     "e5_decoupling": e5_decoupling_setup,
     "ul_caps": ul_caps_setup,
@@ -237,6 +234,6 @@ DRIVE_SETUPS: Dict[str, Callable[[str], DriveSetup]] = {
 }
 
 #: Event-driven checkpointable scenarios (name -> context builder).
-RUNTIME_SETUPS: Dict[str, Callable[[str], Tuple[RunContext, float]]] = {
+RUNTIME_SETUPS: Dict[str, Callable[[], Tuple[RunContext, float]]] = {
     "eventloop_mixed": eventloop_mixed_context,
 }

@@ -98,7 +98,6 @@ def _build_hfsc(link_rate: float, specs: Sequence[ClassSpec],
     scheduler = HFSC(
         link_rate,
         admission_control=options.get("admission_control", True),
-        eligible_backend=options.get("eligible_backend", "heap"),
         overload_policy=options.get("overload_policy", "raise"),
     )
     for spec in resolution_order(specs):

@@ -172,14 +172,12 @@ def build_scheduler(
     link_rate: float,
     specs: Sequence[ClassSpec],
     overload_policy: str = "raise",
-    eligible_backend: str = "heap",
     admission_control: bool = True,
 ) -> Scheduler:
     """Build the configured scheduler backend from the class specs."""
     return build_backend(
         backend, link_rate, specs,
         overload_policy=overload_policy,
-        eligible_backend=eligible_backend,
         admission_control=admission_control,
     )
 

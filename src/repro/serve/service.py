@@ -87,7 +87,6 @@ class ServeService:
         link_rate: float,
         backend: str = "hfsc",
         overload_policy: str = "raise",
-        eligible_backend: str = "heap",
         admission_control: bool = True,
         time_scale: float = 1.0,
         buffer_packets: int = 256,
@@ -100,7 +99,6 @@ class ServeService:
         self.scheduler = build_scheduler(
             backend, link_rate, self.specs,
             overload_policy=overload_policy,
-            eligible_backend=eligible_backend,
             admission_control=admission_control,
         )
         self.loop = EventLoop()

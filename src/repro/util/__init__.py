@@ -1,23 +1,17 @@
 """Supporting data structures for the schedulers and the simulator.
 
-The paper (Section V) maintains two request sets per link: the *real-time*
-requests, ordered by eligible time and deadline, and the *link-sharing*
-requests, ordered by virtual time.  This package provides the containers
-those sets are built from:
-
 * :class:`~repro.util.heap.IndexedHeap` -- a binary heap with an item
   position index, supporting O(log n) arbitrary update and removal.
-* :class:`~repro.util.eligible_tree.EligibleTree` -- the augmented balanced
-  tree of [16]: given the current time, returns the request with the
-  smallest deadline among those whose eligible time has passed.
-* :class:`~repro.util.calendar_queue.CalendarQueue` -- the calendar queue
-  of [4], the alternative backend the paper notes is "slightly faster on
-  average".
+* :func:`~repro.util.rng.make_rng` -- named, seeded random streams.
+
+The paper's two request sets (Section V) live with the H-FSC state in
+:mod:`repro.core.flatstate`: the real-time requests in a future heap
+keyed by eligible time feeding a ready heap keyed by deadline (the
+calendar-queue variant), the link-sharing requests in per-parent
+virtual-time heaps.
 """
 
-from repro.util.calendar_queue import CalendarQueue
-from repro.util.eligible_tree import EligibleTree
 from repro.util.heap import IndexedHeap
 from repro.util.rng import make_rng
 
-__all__ = ["IndexedHeap", "EligibleTree", "CalendarQueue", "make_rng"]
+__all__ = ["IndexedHeap", "make_rng"]

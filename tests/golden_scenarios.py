@@ -6,8 +6,15 @@ heap-order link-sharing descent, curve-inverse caching) are required to be
 packet schedule -- class, size, departure time bit-for-bit -- before and
 after.  ``tests/golden/golden_schedules.json`` pins SHA-256 digests of the
 schedules produced by the seed implementation;
-``tests/test_golden_traces.py`` replays every scenario through both
-eligible-set backends and asserts the digests still match.
+``tests/test_golden_traces.py`` replays every scenario and asserts the
+digests still match.
+
+Each scenario stores one digest per real-time request set this repo has
+run (:data:`PINNED_SETS`): the augmented tree and the calendar queue of
+Section V, since retired, and the flat ``heap`` set that replaced them.
+All three entries are equal -- ``test_backends_agree`` asserts it -- so
+the one live scheduler is checked against the schedule each of them
+pinned.
 
 The workload *setups* live in :mod:`repro.persist.scenarios` and are shared
 with the crash/resume harness, so crash-equivalence (crash -> restore ->
@@ -16,9 +23,9 @@ schedules pinned here.  :func:`schedule_digest` likewise comes from
 :mod:`repro.persist.harness`.
 
 Scenarios deliberately avoid exact deadline / virtual-time ties: tie-break
-order is the one place the two backends (and any reimplementation of the
-selection loops) may legitimately differ, so rates are perturbed per class
-the same way ``tests/test_hfsc_extensions.py`` does.
+order is the one place a reimplementation of the selection loops may
+legitimately differ, so rates are perturbed per class the same way
+``tests/test_hfsc_extensions.py`` does.
 
 Regenerate the golden file (only when a schedule change is *intended*)::
 
@@ -48,10 +55,11 @@ from repro.sim.packet import Packet
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "golden_schedules.json")
 
-BACKENDS = ("tree", "calendar", "heap")
+#: The stored digest entries per scenario (see the module docstring).
+PINNED_SETS = ("tree", "calendar", "heap")
 
 __all__ = [
-    "BACKENDS", "GOLDEN_PATH", "SCENARIOS", "schedule_digest",
+    "PINNED_SETS", "GOLDEN_PATH", "SCENARIOS", "schedule_digest",
     "compute_digests", "load_golden",
 ]
 
@@ -60,17 +68,17 @@ def _served_rows(served: List[Packet]) -> List[Tuple[Any, float, float, Any]]:
     return [(p.class_id, p.size, p.departed, p.via_realtime) for p in served]
 
 
-def _drive_scenario(setup) -> Callable[[str], List[Tuple[Any, float, float, Any]]]:
-    def runner(backend: str) -> List[Tuple[Any, float, float, Any]]:
-        sched, arrivals, until = setup(backend)
+def _drive_scenario(setup) -> Callable[[], List[Tuple[Any, float, float, Any]]]:
+    def runner() -> List[Tuple[Any, float, float, Any]]:
+        sched, arrivals, until = setup()
         return _served_rows(drive(sched, arrivals, until=until))
 
     return runner
 
 
-def eventloop_mixed(backend: str) -> List[Tuple[Any, float, float, Any]]:
+def eventloop_mixed() -> List[Tuple[Any, float, float, Any]]:
     """Full event-driven run: EventLoop + Link + stochastic sources."""
-    ctx, until = eventloop_mixed_context(backend)
+    ctx, until = eventloop_mixed_context()
     ctx.loop.run(until=until)
     return [
         (r.class_id, r.size, r.departed, r.via_realtime)
@@ -78,7 +86,7 @@ def eventloop_mixed(backend: str) -> List[Tuple[Any, float, float, Any]]:
     ]
 
 
-SCENARIOS: Dict[str, Callable[[str], List[Tuple[Any, float, float, Any]]]] = {
+SCENARIOS: Dict[str, Callable[[], List[Tuple[Any, float, float, Any]]]] = {
     "e4_phases": _drive_scenario(e4_phases_setup),
     "e5_decoupling": _drive_scenario(e5_decoupling_setup),
     "ul_caps": _drive_scenario(ul_caps_setup),
@@ -92,10 +100,12 @@ assert set(SCENARIOS) == set(DRIVE_SETUPS) | set(RUNTIME_SETUPS)
 
 
 def compute_digests() -> Dict[str, Dict[str, str]]:
-    return {
-        name: {backend: schedule_digest(builder(backend)) for backend in BACKENDS}
-        for name, builder in SCENARIOS.items()
-    }
+    """One digest per scenario, stored under every pinned entry."""
+    digests = {}
+    for name, builder in SCENARIOS.items():
+        digest = schedule_digest(builder())
+        digests[name] = {entry: digest for entry in PINNED_SETS}
+    return digests
 
 
 def load_golden() -> Dict[str, Dict[str, str]]:

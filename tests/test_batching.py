@@ -4,10 +4,11 @@ and the hypothesis flatten->mutate->rebuild round trip.
 
 The batching contract everywhere is *digest identity*: a batched run must
 produce byte-for-byte the schedule of the equivalent per-packet run.  The
-one sanctioned divergence point is exact deadline ties between eligible-set
-backends (see tests/golden_scenarios.py), and the scenarios here avoid
-ties except where a test probes the tie rule itself.
+scenarios here avoid exact deadline ties except where a test probes the
+tie rule itself.
 """
+
+import json
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.core.curves import ServiceCurve
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.core.hfsc import HFSC
 from repro.obs.core import telemetry_session
+from repro.persist.codec import PacketTable, restore_packets
 from repro.schedulers.fifo import FIFOScheduler
 from repro.sim.engine import EventLoop
 from repro.sim.link import Link
@@ -24,9 +26,9 @@ from repro.sim.packet import Packet
 lin = ServiceCurve.linear
 
 
-def build_hfsc(n=4, rate=100_000.0, backend="heap", jitter=True):
+def build_hfsc(n=4, rate=100_000.0, jitter=True):
     """Flat H-FSC with per-class rate perturbation (keeps runs tie-free)."""
-    sched = HFSC(rate, admission_control=False, eligible_backend=backend)
+    sched = HFSC(rate, admission_control=False)
     share = rate / (n + 1)
     for i in range(n):
         bump = (1.0 + 0.001 * i) if jitter else 1.0
@@ -34,19 +36,18 @@ def build_hfsc(n=4, rate=100_000.0, backend="heap", jitter=True):
     return sched
 
 
+def resumed_from_tree_checkpoint(sched):
+    """``sched`` checkpointed and restored, with the checkpoint naming
+    the retired tree eligible set the way older versions wrote it."""
+    table = PacketTable()
+    doc = json.loads(json.dumps(sched.snapshot_state(table.add)))
+    doc["config"]["eligible_backend"] = "tree"
+    packets = restore_packets(json.loads(json.dumps(table.to_doc())))
+    return HFSC.restore_state(doc, packets)
+
+
 def serve_rows(packets):
     return [(p.class_id, p.size, p.via_realtime) for p in packets]
-
-
-def check_elig_invariants(state):
-    """Heap-order / position-map check without disturbing the state.
-
-    (Constructing a FlatEligibleSet would *clear* the eligible set --
-    the constructor is the scheduler's reset path.)
-    """
-    view = flatstate.FlatEligibleSet.__new__(flatstate.FlatEligibleSet)
-    view._s = state
-    view.check_invariants()
 
 
 class RecordingScheduler(FIFOScheduler):
@@ -141,7 +142,7 @@ class TestOfferBatch:
         # Simultaneous arrivals: the scheduler must pick among ALL of
         # them, not start on the first before the rest exist.
         loop = EventLoop()
-        sched = build_hfsc(4, backend="heap")
+        sched = build_hfsc(4)
         link = Link(loop, sched)
         done = []
         link.add_listener(lambda p, t: done.append(p.class_id))
@@ -151,7 +152,7 @@ class TestOfferBatch:
         loop.run(until=1.0)
         per = []
         loop2 = EventLoop()
-        sched2 = build_hfsc(4, backend="heap")
+        sched2 = build_hfsc(4)
         sched2.enqueue_batch([Packet(i, 500.0) for i in (0, 1, 2, 3)], 0.0)
         link2 = Link(loop2, sched2)
         link2.add_listener(lambda p, t: per.append(p.class_id))
@@ -205,20 +206,23 @@ class TestSchedulerBatchEquivalence:
     def _arrivals(self, n=64):
         return [Packet(i % 4, 400.0 + 10.0 * (i % 7)) for i in range(n)]
 
-    def _rows(self, burst, backend="heap", use_batch=True):
+    def _rows(self, burst, origin="heap", use_batch=True):
         """Serve the workload in bursts of ``burst`` selections at a
         frozen clock (the ``dequeue_batch`` contract), advancing the
         clock only at burst boundaries.  ``use_batch`` switches between
         the batched entry points and the scalar ones -- both must give
-        the same schedule by contract.
+        the same schedule by contract.  ``origin="tree"`` serves from a
+        scheduler resumed off a tree-labelled checkpoint of the backlog.
         """
-        sched = build_hfsc(4, backend=backend)
+        sched = build_hfsc(4)
         now = 0.0
         if use_batch:
             sched.enqueue_batch(self._arrivals(), now)
         else:
             for p in self._arrivals():
                 sched.enqueue(p, now)
+        if origin == "tree":
+            sched = resumed_from_tree_checkpoint(sched)
         rows = []
         while len(sched):
             if use_batch:
@@ -240,11 +244,11 @@ class TestSchedulerBatchEquivalence:
                 rows.append(serve_rows([packet])[0])
         return rows
 
-    @pytest.mark.parametrize("backend", ["heap", "tree"])
+    @pytest.mark.parametrize("origin", ["heap", "tree"])
     @pytest.mark.parametrize("burst", [1, 3, 16, 64])
-    def test_batched_equals_per_packet(self, backend, burst):
-        assert self._rows(burst, backend, use_batch=True) == \
-            self._rows(burst, backend, use_batch=False)
+    def test_batched_equals_per_packet(self, origin, burst):
+        assert self._rows(burst, origin, use_batch=True) == \
+            self._rows(burst, origin, use_batch=False)
 
     def test_batched_equals_per_packet_with_telemetry(self):
         with telemetry_session():
@@ -363,8 +367,8 @@ class TestFusedKernels:
         assert flatstate.elig_query(state_b, now) == slots_b[0]
         flatstate.elig_remove(state_b, slots_b[0])
         flatstate.elig_insert(state_b, slots_b[0], 0.45, 4.5)
-        check_elig_invariants(state_a)
-        check_elig_invariants(state_b)
+        flatstate.elig_check(state_a)
+        flatstate.elig_check(state_b)
         assert self._drain(state_a, now) == self._drain(state_b, now)
 
     def test_requeue_future_falls_back_to_calendar(self):
@@ -374,7 +378,7 @@ class TestFusedKernels:
         assert flatstate.elig_query(state, now) == slots[0]
         # Not yet eligible: must leave the ready heap for the future heap.
         flatstate.elig_requeue(state, slots[0], 0.8, 1.5, now)
-        check_elig_invariants(state)
+        flatstate.elig_check(state)
         assert state.erdy_pos[slots[0]] == -1
         assert state.efut_pos[slots[0]] != -1
         assert flatstate.elig_query(state, 0.9) == slots[0]
@@ -409,7 +413,7 @@ class TestFusedKernels:
         mod.elig_requeue(state_c, slots_c[0], 0.45, 4.5, now)
         flatstate.elig_remove(state_r, slots_r[0])
         flatstate.elig_insert(state_r, slots_r[0], 0.45, 4.5)
-        check_elig_invariants(state_c)
+        flatstate.elig_check(state_c)
         assert self._drain(state_c, now) == self._drain(state_r, now)
         # Exact-tie rule, compiled side.
         state_t, slots_t = self._populated([(0.1, 2.0), (0.2, 2.0)])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import flatstate
 from repro.core.curves import ServiceCurve
 from repro.core.errors import ConfigurationError
 from repro.core.hfsc import HFSC, OVERLOAD_POLICIES
@@ -232,7 +233,7 @@ def test_watchdog_reports_invariant_violation_and_can_rebuild():
     sched.enqueue(Packet("a", 100.0), 0.0)
     watchdog = Watchdog(loop, sched, period=0.1, auto_rebuild=True)
     # Sabotage a derived structure; the next tick must catch and repair it.
-    sched._eligible.remove(sched["a"])
+    flatstate.elig_remove(sched._flat, sched["a"].slot)
     loop.run(until=0.35)
     watchdog.stop()
     kinds = [r.kind for r in watchdog.reports]
@@ -264,7 +265,7 @@ def test_watchdog_report_serializes():
     sched.add_class("a", sc=ServiceCurve.linear(400.0))
     sched.enqueue(Packet("a", 100.0), 0.0)
     watchdog = Watchdog(loop, sched, period=0.1)
-    sched._eligible.remove(sched["a"])
+    flatstate.elig_remove(sched._flat, sched["a"].slot)
     loop.run(until=0.15)
     watchdog.stop()
     report = watchdog.reports[0].to_dict()

@@ -1,11 +1,7 @@
-"""Tests for the H-FSC extensions: upper limits, rt/ls splits, backends,
+"""Tests for the H-FSC extensions: upper limits, rt/ls splits,
 virtual-time policies and the real-time-criterion ablation."""
 
-import random
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import drive, service_by
 from repro.core.curves import ServiceCurve
@@ -95,48 +91,6 @@ class TestRtLsSplit:
         served = drive(sched, arrivals, until=20.0)
         # mixed gets ~900, not just its rt 100.
         assert service_by(served, "mixed", 10.0) >= 8500.0
-
-
-class TestEligibleBackends:
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_backends_produce_identical_schedules(self, seed):
-        """Tree and calendar backends are two implementations of the same
-        request set: the packet service order must match exactly."""
-        rng = random.Random(seed)
-        arrivals = []
-        for cid in range(4):
-            t = 0.0
-            while t < 2.0:
-                t += rng.expovariate(8.0)
-                arrivals.append((t, cid, rng.choice([50.0, 100.0, 150.0])))
-
-        def build(backend):
-            sched = HFSC(1000.0, eligible_backend=backend,
-                         admission_control=False)
-            for cid in range(4):
-                # Slightly different parameters per class so deadlines
-                # never tie exactly (tie-breaking order is the one place
-                # the two backends may legitimately differ).
-                kind = cid % 3
-                if kind == 0:
-                    spec = lin(150.0 + cid)
-                elif kind == 1:
-                    spec = ServiceCurve(400.0 + cid, 0.1 + 0.01 * cid, 100.0 + cid)
-                else:
-                    spec = ServiceCurve(0.0, 0.1 + 0.01 * cid, 150.0 + cid)
-                sched.add_class(cid, sc=spec)
-            return sched
-
-        served_tree = drive(build("tree"), list(arrivals), until=30.0)
-        served_cal = drive(build("calendar"), list(arrivals), until=30.0)
-        order_tree = [(p.class_id, p.size) for p in served_tree]
-        order_cal = [(p.class_id, p.size) for p in served_cal]
-        assert order_tree == order_cal
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            HFSC(1000.0, eligible_backend="wat")
 
 
 class TestVtPolicies:

@@ -35,8 +35,8 @@ def _telemetry_off():
 def test_golden_digests_unchanged_with_telemetry_on(name):
     golden = load_golden()
     with telemetry_session():
-        rows = SCENARIOS[name]("tree")
-    assert schedule_digest(rows) == golden[name]["tree"], (
+        rows = SCENARIOS[name]()
+    assert schedule_digest(rows) == golden[name]["heap"], (
         f"telemetry taps changed the {name!r} schedule -- a tap point "
         "must have perturbed a scheduling decision"
     )

@@ -21,7 +21,7 @@ GOLDEN = load_golden()
 
 def make_args(experiment, **overrides):
     defaults = dict(
-        experiment=experiment, backend="tree", checkpoint=None,
+        experiment=experiment, checkpoint=None,
         checkpoint_every=None, resume=None, crash_at=None, digest_out=None,
     )
     defaults.update(overrides)
@@ -40,15 +40,15 @@ class TestRunScenario:
             make_args(name, digest_out=digest_path))
         assert code == pcli.EXIT_OK
         written = open(digest_path, encoding="utf-8").read().strip()
-        assert written == GOLDEN[name]["tree"]
+        assert written == GOLDEN[name]["heap"]
         assert written in capsys.readouterr().out
 
-    def test_heap_backend_is_selectable_from_the_command_line(self, tmp_path):
-        # The production default eligible set, through the real parser.
+    def test_scenario_runs_from_the_command_line(self, tmp_path):
+        # Through the real parser, which has no eligible-set choice.
         from repro.__main__ import main
 
         digest_path = str(tmp_path / "digest.txt")
-        assert main(["run", "e4_phases", "--backend", "heap",
+        assert main(["run", "e4_phases",
                      "--digest-out", digest_path]) == pcli.EXIT_OK
         written = open(digest_path, encoding="utf-8").read().strip()
         assert written == GOLDEN["e4_phases"]["heap"]
@@ -65,7 +65,7 @@ class TestRunScenario:
             "e4_phases", resume=ck, digest_out=digest_path))
         assert code == pcli.EXIT_OK
         resumed = open(digest_path, encoding="utf-8").read().strip()
-        assert resumed == GOLDEN["e4_phases"]["tree"]
+        assert resumed == GOLDEN["e4_phases"]["heap"]
 
     def test_runtime_crash_then_resume_matches_golden(self, tmp_path):
         ck = str(tmp_path / "ck.json")
@@ -78,7 +78,7 @@ class TestRunScenario:
             "eventloop_mixed", resume=ck, digest_out=digest_path))
         assert code == pcli.EXIT_OK
         resumed = open(digest_path, encoding="utf-8").read().strip()
-        assert resumed == GOLDEN["eventloop_mixed"]["tree"]
+        assert resumed == GOLDEN["eventloop_mixed"]["heap"]
 
     def test_drive_rejects_event_crash_spec(self, tmp_path, capsys):
         code = pcli.run_scenario_command(make_args(
@@ -142,7 +142,7 @@ class TestSignalPath:
             "e4_phases", resume=ck, digest_out=digest_path))
         assert code == pcli.EXIT_OK
         resumed = open(digest_path, encoding="utf-8").read().strip()
-        assert resumed == GOLDEN["e4_phases"]["tree"]
+        assert resumed == GOLDEN["e4_phases"]["heap"]
         assert len(body["served"]) == 300  # stopped at the first boundary
 
 

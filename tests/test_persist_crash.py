@@ -4,11 +4,15 @@ For every golden scenario and a sweep of crash points: run to the crash,
 snapshot through the full envelope codec, rebuild a fresh context,
 restore, continue -- the resulting departure schedule must be
 byte-identical (same SHA-256 digest) to the uninterrupted run pinned in
-``tests/golden/golden_schedules.json``.  Also covers the harness pieces:
+``tests/golden/golden_schedules.json``.  The sweeps write their
+checkpoints the way a version running the retired tree or calendar
+request set did (``config.eligible_backend`` names it), so they also pin
+that such checkpoints still resume.  Also covers the harness pieces:
 resumable :class:`DriveRun` equals :func:`drive`, ``--checkpoint-every``
 files, snapshot-on-signal, and the :class:`PeriodicTask` resume cadence.
 """
 
+import functools
 import json
 import os
 import signal
@@ -16,6 +20,7 @@ import signal
 import pytest
 
 from repro.core.errors import SnapshotError
+from repro.persist import codec
 from repro.persist.codec import (
     dumps_snapshot,
     load_snapshot,
@@ -35,7 +40,7 @@ from repro.persist.harness import (
 from repro.persist.scenarios import DRIVE_SETUPS, RUNTIME_SETUPS
 from repro.sim.engine import EventLoop
 from repro.sim.faults import CrashPoint
-from tests.golden_scenarios import BACKENDS, load_golden
+from tests.golden_scenarios import PINNED_SETS, load_golden
 
 GOLDEN = load_golden()
 
@@ -49,22 +54,61 @@ RUNTIME_CRASHES = (
 )
 
 
+def relabel(body, label):
+    """Set ``config.eligible_backend`` on every H-FSC document in a
+    snapshot body; returns how many were found."""
+    found = 0
+    if isinstance(body, dict):
+        if body.get("type") == "HFSC":
+            body["config"]["eligible_backend"] = label
+            found += 1
+        values = body.values()
+    elif isinstance(body, list):
+        values = body
+    else:
+        return 0
+    return found + sum(relabel(value, label) for value in values)
+
+
+@pytest.fixture
+def written_by(monkeypatch):
+    """``written_by(label)``: from then on every checkpoint the harness
+    writes names ``label`` as its eligible set, checksum and all -- the
+    file a version running that set wrote."""
+
+    def install(label):
+        dumps = codec.dumps_snapshot
+
+        def dumps_as(body):
+            relabel(body, label)
+            return dumps(body)
+
+        monkeypatch.setattr(codec, "dumps_snapshot", dumps_as)
+
+    return install
+
+
+@functools.lru_cache(maxsize=None)
+def uninterrupted_digest(name):
+    if name in RUNTIME_SETUPS:
+        return schedule_digest(runtime_rows(name))
+    return schedule_digest(drive_rows(name))
+
+
 class TestUninterruptedEqualsGolden:
     """DriveRun / run_checkpointed are faithful re-expressions of the
     original execution models: with checkpointing off they reproduce the
     pinned digests exactly."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("pinned", PINNED_SETS)
     @pytest.mark.parametrize("name", sorted(DRIVE_SETUPS))
-    def test_drive_run(self, name, backend):
-        digest = schedule_digest(drive_rows(name, backend))
-        assert digest == GOLDEN[name][backend]
+    def test_drive_run(self, name, pinned):
+        assert uninterrupted_digest(name) == GOLDEN[name][pinned]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("pinned", PINNED_SETS)
     @pytest.mark.parametrize("name", sorted(RUNTIME_SETUPS))
-    def test_runtime(self, name, backend):
-        digest = schedule_digest(runtime_rows(name, backend))
-        assert digest == GOLDEN[name][backend]
+    def test_runtime(self, name, pinned):
+        assert uninterrupted_digest(name) == GOLDEN[name][pinned]
 
 
 class TestCrashEquivalence:
@@ -72,68 +116,97 @@ class TestCrashEquivalence:
 
     @pytest.mark.parametrize("crash_index", DRIVE_CRASH_INDICES)
     @pytest.mark.parametrize("name", sorted(DRIVE_SETUPS))
-    def test_drive_tree(self, name, crash_index):
-        rows = crash_and_resume_drive(name, "tree", crash_index)
+    def test_drive_tree(self, name, crash_index, written_by):
+        written_by("tree")
+        rows = crash_and_resume_drive(name, crash_index)
         assert schedule_digest(rows) == GOLDEN[name]["tree"]
 
     @pytest.mark.parametrize("name", sorted(DRIVE_SETUPS))
-    def test_drive_calendar(self, name):
-        rows = crash_and_resume_drive(name, "calendar", 113)
+    def test_drive_calendar(self, name, written_by):
+        written_by("calendar")
+        rows = crash_and_resume_drive(name, 113)
         assert schedule_digest(rows) == GOLDEN[name]["calendar"]
 
     @pytest.mark.parametrize("crash", RUNTIME_CRASHES,
                              ids=lambda c: f"{c.at_event}@{c.at_time}")
     @pytest.mark.parametrize("name", sorted(RUNTIME_SETUPS))
-    def test_runtime_tree(self, name, crash):
-        rows = crash_and_resume_runtime(name, "tree", crash)
+    def test_runtime_tree(self, name, crash, written_by):
+        written_by("tree")
+        rows = crash_and_resume_runtime(name, crash)
         assert schedule_digest(rows) == GOLDEN[name]["tree"]
 
     @pytest.mark.parametrize("name", sorted(RUNTIME_SETUPS))
-    def test_runtime_calendar(self, name):
-        rows = crash_and_resume_runtime(
-            name, "calendar", CrashPoint(at_event=250))
+    def test_runtime_calendar(self, name, written_by):
+        written_by("calendar")
+        rows = crash_and_resume_runtime(name, CrashPoint(at_event=250))
         assert schedule_digest(rows) == GOLDEN[name]["calendar"]
+
+    @pytest.mark.parametrize("label", ("tree", "calendar"))
+    def test_old_checkpoint_resumes(self, label):
+        """A heap-written e4_phases checkpoint, relabelled as written by
+        a retired eligible set, restores and finishes on the pin."""
+        sched, arrivals, until = DRIVE_SETUPS["e4_phases"]()
+        run = DriveRun(sched, arrivals, until)
+        run.run(max_served=500)
+        body = loads_snapshot(dumps_snapshot(run.snapshot_body()))
+        assert body["scheduler"]["config"]["eligible_backend"] == "heap"
+        assert relabel(body, label) == 1
+        _, fresh_arrivals, _ = DRIVE_SETUPS["e4_phases"]()
+        resumed = DriveRun.restore(
+            loads_snapshot(dumps_snapshot(body)), fresh_arrivals)
+        resumed.run()
+        assert schedule_digest(resumed.rows) == GOLDEN["e4_phases"]["heap"]
+
+    def test_unknown_eligible_set_refused(self):
+        sched, arrivals, until = DRIVE_SETUPS["e4_phases"]()
+        run = DriveRun(sched, arrivals, until)
+        run.run(max_served=500)
+        body = loads_snapshot(dumps_snapshot(run.snapshot_body()))
+        relabel(body, "wat")
+        with pytest.raises(SnapshotError) as err:
+            DriveRun.restore(body, DRIVE_SETUPS["e4_phases"]()[1])
+        assert err.value.reason == "bad-config"
 
     def test_double_crash(self):
         """Crash the resumed run again: chained checkpoints still converge."""
         name = "e4_phases"
         setup = DRIVE_SETUPS[name]
-        sched, arrivals, until = setup("tree")
+        sched, arrivals, until = setup()
         run = DriveRun(sched, arrivals, until)
         run.run(max_served=500)
         text = dumps_snapshot(run.snapshot_body())
 
-        _, arrivals2, _ = setup("tree")
+        _, arrivals2, _ = setup()
         resumed = DriveRun.restore(loads_snapshot(text), arrivals2)
         resumed.run(max_served=4000)
         text2 = dumps_snapshot(resumed.snapshot_body())
 
-        _, arrivals3, _ = setup("tree")
+        _, arrivals3, _ = setup()
         final = DriveRun.restore(loads_snapshot(text2), arrivals3)
         final.run()
-        assert schedule_digest(final.rows) == GOLDEN[name]["tree"]
+        assert schedule_digest(final.rows) == GOLDEN[name]["heap"]
 
 
 class TestSnapshotRefusal:
     def test_wrong_arrivals_refused(self):
-        sched, arrivals, until = DRIVE_SETUPS["e4_phases"]("tree")
+        sched, arrivals, until = DRIVE_SETUPS["e4_phases"]()
         run = DriveRun(sched, arrivals, until)
         run.run(max_served=50)
         body = loads_snapshot(dumps_snapshot(run.snapshot_body()))
-        _, other_arrivals, _ = DRIVE_SETUPS["rt_only"]("tree")
+        _, other_arrivals, _ = DRIVE_SETUPS["rt_only"]()
         with pytest.raises(SnapshotError) as err:
             DriveRun.restore(body, other_arrivals)
         assert err.value.reason == "scenario-mismatch"
 
     def test_runtime_restore_is_atomic(self):
         """A corrupted body leaves the fresh context fully usable."""
-        ctx, until = RUNTIME_SETUPS["eventloop_mixed"]("tree")
+        ctx, until = RUNTIME_SETUPS["eventloop_mixed"]()
         run_checkpointed(ctx, until, crash=CrashPoint(at_event=100),
                          on_checkpoint=lambda _: None)
         body = json.loads(json.dumps(ctx.snapshot_body()))
         body["components"]["recorder"]["type"] = "Imposter"
 
-        fresh, fresh_until = RUNTIME_SETUPS["eventloop_mixed"]("tree")
+        fresh, fresh_until = RUNTIME_SETUPS["eventloop_mixed"]()
         with pytest.raises(SnapshotError) as err:
             fresh.restore_body(body)
         assert err.value.reason == "context-mismatch"
@@ -143,13 +216,13 @@ class TestSnapshotRefusal:
             (r.class_id, r.size, r.departed, r.via_realtime)
             for r in fresh.component("recorder").records
         ]
-        assert schedule_digest(rows) == GOLDEN["eventloop_mixed"]["tree"]
+        assert schedule_digest(rows) == GOLDEN["eventloop_mixed"]["heap"]
 
 
 class TestCheckpointFiles:
     def test_checkpoint_every_writes_resumable_files(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        ctx, until = RUNTIME_SETUPS["eventloop_mixed"]("tree")
+        ctx, until = RUNTIME_SETUPS["eventloop_mixed"]()
         seen = []
         finished = run_checkpointed(
             ctx, until, checkpoint_path=path, every_events=300,
@@ -159,18 +232,18 @@ class TestCheckpointFiles:
         assert os.path.exists(path)
         # The last on-disk checkpoint is the finished run; restoring it
         # and running to the horizon is a no-op that matches the golden.
-        fresh, fresh_until = RUNTIME_SETUPS["eventloop_mixed"]("tree")
+        fresh, fresh_until = RUNTIME_SETUPS["eventloop_mixed"]()
         fresh.restore_body(load_snapshot(path))
         fresh.loop.run(until=fresh_until)
         rows = [
             (r.class_id, r.size, r.departed, r.via_realtime)
             for r in fresh.component("recorder").records
         ]
-        assert schedule_digest(rows) == GOLDEN["eventloop_mixed"]["tree"]
+        assert schedule_digest(rows) == GOLDEN["eventloop_mixed"]["heap"]
 
     def test_signal_requests_checkpoint(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        ctx, until = RUNTIME_SETUPS["eventloop_mixed"]("tree")
+        ctx, until = RUNTIME_SETUPS["eventloop_mixed"]()
         request = SignalCheckpointRequest().install(signal.SIGUSR1)
         try:
             os.kill(os.getpid(), signal.SIGUSR1)
@@ -181,14 +254,14 @@ class TestCheckpointFiles:
             request.uninstall()
         assert not finished  # stopped at the first boundary after the signal
         assert ctx.loop.now < until
-        fresh, fresh_until = RUNTIME_SETUPS["eventloop_mixed"]("tree")
+        fresh, fresh_until = RUNTIME_SETUPS["eventloop_mixed"]()
         fresh.restore_body(load_snapshot(path))
         fresh.loop.run(until=fresh_until)
         rows = [
             (r.class_id, r.size, r.departed, r.via_realtime)
             for r in fresh.component("recorder").records
         ]
-        assert schedule_digest(rows) == GOLDEN["eventloop_mixed"]["tree"]
+        assert schedule_digest(rows) == GOLDEN["eventloop_mixed"]["heap"]
 
 
 class TestPeriodicTaskResume:

@@ -18,7 +18,12 @@ import pytest
 
 from repro.core.curves import ServiceCurve
 from repro.core.hfsc import HFSC
-from repro.persist.codec import PacketTable, body_checksum
+from repro.persist.codec import (
+    PacketTable,
+    body_checksum,
+    dumps_snapshot,
+    loads_snapshot,
+)
 from repro.persist.harness import DriveRun
 from repro.persist.scenarios import DRIVE_SETUPS, eventloop_mixed_context
 from repro.sim.packet import Packet
@@ -84,20 +89,28 @@ def assert_matches_facade(sched):
     assert body_checksum(doc) == body_checksum(reference)
 
 
-@pytest.mark.parametrize("backend", ("tree", "heap"))
+@pytest.mark.parametrize("origin", ("tree", "heap"))
 @pytest.mark.parametrize("name", HFSC_DRIVES)
-def test_drive_scenarios_match_facade(name, backend):
-    sched, arrivals, until = DRIVE_SETUPS[name](backend)
+def test_drive_scenarios_match_facade(name, origin):
+    """``origin="tree"``: at every stop the run is also resumed from its
+    checkpoint, relabelled as written by the retired tree eligible set,
+    and the restored scheduler must snapshot to its façade doc too."""
+    sched, arrivals, until = DRIVE_SETUPS[name]()
     run = DriveRun(sched, arrivals, until)
     for stop in SERVED_STOPS:
         run.run(max_served=stop)
-        assert_matches_facade(sched)
+        assert_matches_facade(run.scheduler)
+        if origin == "tree":
+            body = loads_snapshot(dumps_snapshot(run.snapshot_body()))
+            body["scheduler"]["config"]["eligible_backend"] = "tree"
+            run = DriveRun.restore(body, DRIVE_SETUPS[name]()[1])
+            assert_matches_facade(run.scheduler)
     run.run()
-    assert_matches_facade(sched)
+    assert_matches_facade(run.scheduler)
 
 
 def test_event_loop_scenario_matches_facade():
-    ctx, until = eventloop_mixed_context("calendar")
+    ctx, until = eventloop_mixed_context()
     for t in (0.01, 0.3, 2.0, 5.5, until):
         ctx.loop.run(until=t)
         assert_matches_facade(ctx.scheduler)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import flatstate
 from repro.core.curves import ServiceCurve
 from repro.core.errors import OverloadError, ReconfigurationError
 from repro.core.hfsc import HFSC, ROOT
@@ -53,9 +54,9 @@ def test_update_class_rt_curve_while_backlogged():
 def test_update_class_removing_rt_clears_eligible_membership():
     sched = _two_leaf()
     sched.enqueue(pkt("a", 100.0), 0.0)
-    assert sched["a"] in sched._eligible
+    assert flatstate.elig_contains(sched._flat, sched["a"].slot)
     sched.update_class("a", 0.0, rt_sc=None, ls_sc=ServiceCurve.linear(600.0))
-    assert sched["a"] not in sched._eligible
+    assert not flatstate.elig_contains(sched._flat, sched["a"].slot)
     assert sched["a"].rt_spec is None
     sched.check_invariants()
     # Still served, via link-sharing.
@@ -234,12 +235,26 @@ def test_rebuild_restores_service_after_manual_corruption():
         sched.enqueue(pkt("a", 100.0), 0.0)
     # Corrupt a derived structure the way a hypothetical bug would: the
     # eligible set forgets the backlogged class.
-    sched._eligible.remove(sched["a"])
+    flatstate.elig_remove(sched._flat, sched["a"].slot)
     with pytest.raises(AssertionError):
         sched.check_invariants()
     sched.rebuild(0.2)
     sched.check_invariants()
     assert sched.dequeue(0.2).class_id == "a"
+
+
+def test_check_invariants_sees_a_disordered_eligible_heap():
+    # Membership stays right; only the heap's key order is broken.
+    sched = _two_leaf()
+    sched.enqueue(pkt("a", 100.0), 0.0)
+    sched.enqueue(pkt("b", 100.0), 0.3)
+    keys = sched._flat.efut_key
+    assert len(keys) == 2 and keys[0] < keys[1]
+    keys[0], keys[1] = keys[1], keys[0]
+    with pytest.raises(AssertionError, match="eligible heap"):
+        sched.check_invariants()
+    sched.rebuild(0.3)
+    sched.check_invariants()
 
 
 # -- set_link_rate and the overload policies ---------------------------------

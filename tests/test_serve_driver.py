@@ -6,7 +6,8 @@ event loop against a wall clock never changes *what* is scheduled, only
 schedules: every golden scenario replayed through
 ``RealTimeDriver(time_scale=0)`` (hybrid mode) and through a fake-clock
 paced driver must reproduce the exact digests
-``tests/golden_scenarios.py`` pins for the event-driven simulator.
+``tests/golden_scenarios.py`` pins for the event-driven simulator, under
+each stored entry.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.sim.engine import EventLoop
 from repro.sim.link import Link
 from repro.sim.packet import Packet
 
-from tests.golden_scenarios import BACKENDS, load_golden, schedule_digest
+from tests.golden_scenarios import PINNED_SETS, load_golden, schedule_digest
 
 GOLDEN = load_golden()
 
@@ -41,14 +42,14 @@ class FakeClock:
         self.t += dt
 
 
-def _run_drive_scenario(setup, backend, make_driver):
+def _run_drive_scenario(setup, make_driver):
     """One golden drive-setup scenario through a Link under a driver.
 
     Same-instant arrivals go through ``offer_batch`` so an idle link picks
     among the whole batch, matching ``drive``'s simultaneous-arrival
     semantics (and hence the pinned digests).
     """
-    sched, arrivals, until = setup(backend)
+    sched, arrivals, until = setup()
     loop = EventLoop()
     link = Link(loop, sched)
     rows = []
@@ -71,40 +72,40 @@ def _run_drive_scenario(setup, backend, make_driver):
     return rows
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("pinned", PINNED_SETS)
 @pytest.mark.parametrize("name", sorted(DRIVE_SETUPS))
-def test_hybrid_mode_reproduces_golden_digests(name, backend):
+def test_hybrid_mode_reproduces_golden_digests(name, pinned):
     """time_scale=0 is byte-identical to the event-driven simulator."""
     rows = _run_drive_scenario(
-        DRIVE_SETUPS[name], backend,
+        DRIVE_SETUPS[name],
         lambda loop: RealTimeDriver(loop, time_scale=0.0),
     )
-    assert schedule_digest(rows) == GOLDEN[name][backend]
+    assert schedule_digest(rows) == GOLDEN[name][pinned]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_hybrid_mode_eventloop_mixed_digest(backend):
-    ctx, until = eventloop_mixed_context(backend)
+@pytest.mark.parametrize("pinned", PINNED_SETS)
+def test_hybrid_mode_eventloop_mixed_digest(pinned):
+    ctx, until = eventloop_mixed_context()
     RealTimeDriver(ctx.loop, time_scale=0.0).run(until=until)
     rows = [
         (r.class_id, r.size, r.departed, r.via_realtime)
         for r in ctx.component("recorder").records
     ]
-    assert schedule_digest(rows) == GOLDEN["eventloop_mixed"][backend]
+    assert schedule_digest(rows) == GOLDEN["eventloop_mixed"][pinned]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("pinned", PINNED_SETS)
 @pytest.mark.parametrize("name", sorted(DRIVE_SETUPS))
-def test_paced_mode_reproduces_golden_digests(name, backend):
+def test_paced_mode_reproduces_golden_digests(name, pinned):
     """Pacing (fake wall clock, time_scale=1) never changes the schedule."""
     clock = FakeClock()
     rows = _run_drive_scenario(
-        DRIVE_SETUPS[name], backend,
+        DRIVE_SETUPS[name],
         lambda loop: RealTimeDriver(
             loop, time_scale=1.0, clock=clock, sleep=clock.sleep
         ),
     )
-    assert schedule_digest(rows) == GOLDEN[name][backend]
+    assert schedule_digest(rows) == GOLDEN[name][pinned]
 
 
 def test_paced_clock_mapping_and_lag():
