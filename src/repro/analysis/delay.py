@@ -53,10 +53,28 @@ def service_curve_delay_bound(
     # slope is rho/m2 - 1 <= 0.  So the supremum is attained at t = 0+ or
     # at one of those two points.  A rises at ``peak`` until t_peak and
     # at ``rho`` after it.
+    #
+    # The t = 0+ value is taken as a limit, not as A at some small t: a
+    # tiny rho times a small t underflows to no traffic at all.  A(0+) is
+    # sigma with no peak limit; otherwise (or with sigma = 0) any traffic
+    # is an infinitesimal amount, which S serves by the end of its flat
+    # start (d when m1 = 0, else 0).
+    start = sigma if peak == math.inf else 0.0
+    if start > 0:
+        worst = spec.inverse(start)
+    elif peak > 0 and (sigma > 0 or rho > 0):
+        if spec.knee_y > 0:
+            worst = 0.0
+        else:
+            worst = spec.d if spec.m2 > 0 else INFINITY
+    else:
+        worst = 0.0
+    if worst == INFINITY:
+        return INFINITY
     t_peak = 0.0
     if peak != math.inf:
         t_peak = sigma / (peak - rho) if peak > rho else math.inf
-    candidates = [1e-12]
+    candidates = []
     if 0.0 < t_peak < math.inf:
         candidates.append(t_peak)
     knee_y = spec.knee_y
@@ -65,7 +83,6 @@ def service_curve_delay_bound(
             candidates.append(knee_y / peak)
         elif knee_y > sigma and rho > 0:
             candidates.append((knee_y - sigma) / rho)
-    worst = 0.0
     for t in candidates:
         demand = envelope(t)
         finish = spec.inverse(demand)

@@ -1,31 +1,25 @@
 """Admission control: the left side of eq. (1) and headroom questions.
 
-`repro.core.curves.is_admissible` answers "does this set fit?" from
-scratch; it stays the reference.  A scheduler whose curve set changes one
-class at a time keeps an :class:`RtDemand` instead -- the exact running
-sum ``sum_i S_i(t)`` -- and answers the same question in O(#distinct
-knees) rather than O(#curves).  Operators also want *headroom* questions:
+:class:`RtDemand` keeps the exact sum ``sum_i S_i(t)`` of a curve set that
+changes one class at a time and checks eq. (1) in O(#distinct knees)
+(`repro.core.curves.is_admissible` stays the from-scratch reference).
+Eq. (1) is linear in every curve, so the headroom questions are closed
+forms over the same knees:
 
 * :func:`admissible_rate_headroom` -- the largest linear rate that can
   still be admitted next to an existing curve set;
-* :func:`max_admissible_scale` -- the largest factor by which a candidate
-  curve can be scaled while the whole set stays feasible;
-* :func:`utilization_profile` -- sum-of-curves divided by the server line
-  at each breakpoint, showing *where* (at which time scale) the link is
-  tight: concave sets are burst-limited (tight at small t), linear sets
-  rate-limited (tight asymptotically).
+* :func:`max_admissible_scale` / :func:`uniform_admissible_scale` -- the
+  largest factor for one candidate curve / every curve;
+* :func:`utilization_profile` -- the sum over the server line at each
+  knee: *where* (at which time scale) the link is tight.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import math
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.curves import (
-    REL_TOL,
-    ServiceCurve,
-    is_admissible,
-    sum_curves,
-)
+from repro.core.curves import REL_TOL, ServiceCurve
 from repro.core.errors import ConfigurationError
 
 #: Every finite double is an integer multiple of 2**-1074, so scaling by
@@ -59,9 +53,8 @@ class RtDemand:
     Stored as the sum's initial slope plus, for every knee ``d``, the sum
     of ``m2 - m1`` over the curves that bend there (knees whose changes
     cancel are dropped, so two aggregates of the same curve set compare
-    equal).  Values are fixed-point ints (:func:`_fixed`); the products
-    with ``d`` that give the sum's value are formed only in :meth:`fits`
-    and :meth:`headroom`.
+    equal).  Values are fixed-point ints (:func:`_fixed`); the sum's
+    values are formed only by the walks over the knees (:meth:`_values`).
     """
 
     __slots__ = ("_slope", "_knees", "_order")
@@ -69,8 +62,7 @@ class RtDemand:
     def __init__(self, curves: Iterable[ServiceCurve] = ()):
         self._slope = 0
         self._knees: Dict[float, int] = {}
-        #: ``(d, fixed d)`` in increasing ``d``; None after the knee set
-        #: changed.
+        #: :meth:`_knees_in_order`, or None after the knee set changed.
         self._order: Optional[List[Tuple[float, int]]] = []
         for curve in curves:
             self.add(curve)
@@ -99,18 +91,22 @@ class RtDemand:
             del knees[d]
             self._order = None
 
-    def _knee_values(self):
-        """``(x, sum(x))`` at every knee in increasing order, ``x`` at unit
-        ``_ONE`` and the sum's value at unit ``_ONE_SQ``."""
+    def _knees_in_order(self) -> List[Tuple[float, int]]:
+        """``(d, fixed d)`` for every knee, in increasing ``d``."""
         order = self._order
         if order is None:
             order = self._order = [(d, _fixed(d)) for d in sorted(self._knees)]
+        return order
+
+    def _values(self, points: List[Tuple[float, int]]) -> Iterator[Tuple[int, int]]:
+        """``(x, sum(x))`` (unit ``_ONE_SQ``) at each ``(t, x = fixed t)`` of
+        ``points``, which must be increasing and hold every knee."""
         knees = self._knees
         slope = self._slope
         value = last = 0
-        for d, x in order:
+        for d, x in points:
             value += slope * (x - last)
-            slope += knees[d]
+            slope += knees.get(d, 0)
             last = x
             yield x, value
 
@@ -127,7 +123,7 @@ class RtDemand:
         if _over(self._final_slope(), r, _ONE):
             return False
         return not any(_over(value, r * x, _ONE_SQ)
-                       for x, value in self._knee_values())
+                       for x, value in self._values(self._knees_in_order()))
 
     def headroom(self, rate: float) -> float:
         """Largest linear rate that still fits beside the sum (>= 0).
@@ -138,10 +134,46 @@ class RtDemand:
         r = _fixed(rate)
         # The smallest slack as an exact fraction num / den (unit _ONE).
         num, den = r - max(self._slope, self._final_slope()), 1
-        for x, value in self._knee_values():
+        for x, value in self._values(self._knees_in_order()):
             if (r * x - value) * den < num * x:
                 num, den = r * x - value, x
         return max(0.0, num / (den * _ONE))
+
+    def max_scale(self, rate: float, base: Optional[RtDemand] = None) -> float:
+        """Largest k >= 0 such that ``base + k * self`` fits ``rate``, rounded
+        down to a double; ``inf`` when this sum is zero or k exceeds doubles.
+
+        Between knees the slack ``rate * t - base(t)`` and ``self(t)`` are
+        both linear, so k is their smallest exact ratio at a knee of either
+        sum or in the final slopes.  Callers confirm k on the curves they
+        install (:meth:`ServiceCurve.scaled` rounds) and step down one ulp
+        if those do not fit.
+        """
+        base = base if base is not None else RtDemand()
+        r = _fixed(rate)
+        points = [(d, _fixed(d))
+                  for d in sorted(self._knees.keys() | base._knees.keys())]
+        bounds = [(r * x - used, need) for (x, used), (_, need)
+                  in zip(base._values(points), self._values(points))]
+        bounds.append((r - base._final_slope(), self._final_slope()))
+        num, den = 1, 0  # the tightest bound so far, num / den; 1 / 0 is inf
+        for room, demand in bounds:
+            if demand > 0 and room * den < num * demand:
+                num, den = room, demand
+        try:
+            k = max(num, 0) / den  # rounded to nearest: step down if it went up
+        except (ZeroDivisionError, OverflowError):  # zero sum; k above doubles
+            return math.inf
+        k_num, k_den = k.as_integer_ratio()
+        return math.nextafter(k, 0.0) if k_num * den > num * k_den else k
+
+    def utilization(self, rate: float) -> List[Tuple[float, float]]:
+        """``(t, sum(t) / (rate * t))`` at every knee and a far probe time."""
+        probe = (max(self._knees, default=0.0) + 1.0) * 1e6
+        points = [*self._knees_in_order(), (probe, _fixed(probe))]
+        r = _fixed(rate)
+        return [(t, value / (r * x))
+                for (t, _), (x, value) in zip(points, self._values(points))]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RtDemand):
@@ -168,78 +200,45 @@ def admissible_rate_headroom(
 
 
 def max_admissible_scale(
-    existing: Sequence[ServiceCurve],
-    candidate: ServiceCurve,
-    server_rate: float,
-    tolerance: float = 1e-6,
+    existing: Sequence[ServiceCurve], candidate: ServiceCurve, server_rate: float
 ) -> float:
-    """Largest factor k such that ``existing + [candidate.scaled(k)]`` fits.
-
-    Binary search over k (the feasible set in k is an interval starting at
-    0 because scaling is linear in the curve values).
-    """
-    if not is_admissible(list(existing), server_rate):
+    """Largest factor k such that ``existing + [candidate.scaled(k)]`` fits:
+    0.0 when ``existing`` alone does not, ``inf`` for a zero candidate."""
+    if server_rate <= 0:
+        raise ConfigurationError("server_rate must be positive")
+    demand = RtDemand(existing)
+    if not demand.fits(server_rate):
         return 0.0
-    lo, hi = 0.0, 1.0
-    # Grow hi until infeasible (or absurdly large).
-    while hi < 1e9 and is_admissible(
-        list(existing) + [candidate.scaled(hi)], server_rate
-    ):
-        lo, hi = hi, hi * 2.0
-    if hi >= 1e9:
-        return hi
-    while hi - lo > tolerance * max(1.0, hi):
-        mid = (lo + hi) / 2.0
-        if is_admissible(list(existing) + [candidate.scaled(mid)], server_rate):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    k = RtDemand([candidate]).max_scale(server_rate, demand)
+    if k < math.inf:
+        demand.add(candidate.scaled(k))
+    return k if demand.fits(server_rate) else math.nextafter(k, 0.0)
 
 
 def uniform_admissible_scale(
-    curves: Sequence[ServiceCurve],
-    server_rate: float,
-    tolerance: float = 1e-6,
+    curves: Sequence[ServiceCurve], server_rate: float
 ) -> float:
-    """Largest k <= 1 such that ``[c.scaled(k) for c in curves]`` fits.
+    """Largest k <= 1 such that ``[c.scaled(k) for c in curves]`` fits (1.0
+    when the set already fits: guarantees are never inflated).
 
     This is the "scale-rt" overload policy's knob: when churn or a
     link-rate drop makes the admitted set infeasible, every real-time
     guarantee is degraded by the same factor instead of rejecting flows.
-    Returns 1.0 when the set already fits (guarantees are never inflated
-    beyond what was requested).  Feasibility is monotone in k because
-    scaling is linear in the curve values.
     """
     if server_rate <= 0:
         raise ConfigurationError("server_rate must be positive")
-    if not curves or is_admissible(list(curves), server_rate):
+    demand = RtDemand(curves)
+    if demand.fits(server_rate):
         return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2.0
-        if is_admissible([c.scaled(mid) for c in curves], server_rate):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    k = demand.max_scale(server_rate)
+    scaled = RtDemand(curve.scaled(k) for curve in curves)
+    return k if scaled.fits(server_rate) else math.nextafter(k, 0.0)
 
 
 def utilization_profile(
     curves: Sequence[ServiceCurve], server_rate: float
 ) -> List[Tuple[float, float]]:
-    """(t, sum(curves)(t) / (server_rate * t)) at every breakpoint.
-
-    Values above 1.0 mark the time scales at which the set overbooks the
-    server.  The final entry uses a large probe time (asymptotic rate).
-    """
-    if not curves:
-        return []
-    total = sum_curves([curve.to_piecewise() for curve in curves])
-    profile: List[Tuple[float, float]] = []
-    for x, y in total.points:
-        if x > 0:
-            profile.append((x, y / (server_rate * x)))
-    probe = (total.points[-1][0] + 1.0) * 1e6
-    profile.append((probe, total.value(probe) / (server_rate * probe)))
-    return profile
+    """(t, sum(curves)(t) / (server_rate * t)) at every knee of the sum and
+    a large probe time (asymptotic rate); values above 1.0 mark the time
+    scales at which the set overbooks the server."""
+    return RtDemand(curves).utilization(server_rate) if curves else []

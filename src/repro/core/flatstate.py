@@ -12,7 +12,7 @@ This module flattens that state into parallel arrays indexed by a dense
 *slot* id:
 
 * per-class scalars (virtual time, eligible/deadline, cumulative service,
-  byte counters, watermarks) live in ``array('d')`` buffers;
+  byte counters, watermarks) live in plain Python lists, one per field;
 * the four runtime curves (deadline ``dc``, eligible ``ec``, virtual
   ``vc``, upper-limit ``ul``) are seven parallel arrays each -- anchor,
   slopes, first-segment length and the memoized knee -- with a presence

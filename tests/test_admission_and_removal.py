@@ -1,5 +1,7 @@
 """Tests for admission headroom utilities and dynamic class removal."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +79,22 @@ class TestMaxScale:
 
     def test_infeasible_base_set(self):
         assert max_admissible_scale([lin(200.0)], lin(1.0), 100.0) == 0.0
+
+    def test_non_positive_rate_is_refused(self):
+        for rate in (0.0, -100.0):
+            with pytest.raises(ConfigurationError,
+                               match="server_rate must be positive"):
+                max_admissible_scale([lin(40.0)], lin(10.0), rate)
+
+    def test_zero_candidate_scales_without_bound(self):
+        assert max_admissible_scale([lin(40.0)], ServiceCurve(0.0, 0.5, 0.0),
+                                    100.0) == math.inf
+
+    def test_factor_beyond_every_double_is_inf(self):
+        # The exact ratios (1e310, 2e310) have no finite double.
+        assert max_admissible_scale([], lin(1e-300), 1e10) == math.inf
+        assert max_admissible_scale([], ServiceCurve(1e-300, 0.5, 0.0),
+                                    1e10) == math.inf
 
     def test_scaled_set_admissible(self):
         existing = [ServiceCurve(300.0, 0.5, 100.0)]

@@ -83,6 +83,14 @@ class TestDelayBounds:
         bound = service_curve_delay_bound(spec, sigma=5.0, rho=0.5, peak=2.0)
         assert bound == pytest.approx(0.5)
 
+    # Any traffic at all waits out a flat start (m1 = 0), however small
+    # rho is: rho * t may underflow, the bound must not.
+    def test_tiny_rate_waits_out_the_flat_start(self):
+        spec = ServiceCurve(0.0, 1.0, 1.0)
+        assert service_curve_delay_bound(spec, 0.0, 5e-324) == 1.0
+        assert service_curve_delay_bound(spec, 0.0, 5e-324, 2.0) == 1.0
+        assert service_curve_delay_bound(spec, 0.0, 0.0) == 0.0
+
     @given(
         m1=st.one_of(st.just(0.0), st.floats(0.1, 100.0)),
         d=st.floats(0.01, 10.0),
@@ -110,7 +118,18 @@ class TestDelayBounds:
         steps = 4000
         dt = horizon / steps
         ts = [1e-12] + [i * dt for i in range(1, steps + 1)]
-        sweep = max(spec.inverse(envelope(t)) - t for t in ts)
+
+        # A(t) > 0 for every t > 0 once sigma or rho is, but in floats a
+        # tiny rho times a small t underflows to 0, which reads as no
+        # traffic and hides the delay it causes; the least positive float
+        # stands in for that amount.
+        def gap(t):
+            demand = envelope(t)
+            if demand == 0.0 and (sigma > 0 or rho > 0):
+                demand = math.ulp(0.0)
+            return spec.inverse(demand) - t
+
+        sweep = max(gap(t) for t in ts)
         # |d/dt (S^-1(A(t)) - t)| <= max slope of A / min slope of S + 1
         # away from t = 0, so the sweep misses the peak by at most that
         # times its step.
