@@ -63,6 +63,9 @@ from repro.obs.core import TELEMETRY as _TELEM
 from repro.schedulers.base import Scheduler
 from repro.sim.packet import Packet
 from repro.util.heap import IndexedHeap
+from repro.util.rowmemo import (
+    EncodedRows, FrozenRow, canonical_text, same_objects,
+)
 
 ROOT = "__root__"
 
@@ -92,9 +95,9 @@ _SNAPSHOT_ELIGIBLE_SETS = ("heap", "tree", "calendar")
 
 # -- snapshot codec helpers (shared with repro.persist) ----------------------
 
-def _sc_doc(spec: Optional[ServiceCurve]):
+def _sc_doc(spec: Optional[ServiceCurve], seq: Callable = list):
     """ServiceCurve -> JSON-able triple (or None)."""
-    return None if spec is None else [spec.m1, spec.d, spec.m2]
+    return None if spec is None else seq((spec.m1, spec.d, spec.m2))
 
 
 def _sc_from(doc) -> Optional[ServiceCurve]:
@@ -496,6 +499,9 @@ class HFSC(Scheduler):
         # next_ready_time() needs the earliest future fit rather than a
         # scan of every upper-limited class.
         self._ul_wait: IndexedHeap[HFSCClass] = IndexedHeap()
+        #: name -> (memo key, read-only row, its canonical text) for the
+        #: idle rows of the last :meth:`snapshot_state`.
+        self._snapshot_rows: Dict[Any, Any] = {}
 
     # -- hierarchy construction ---------------------------------------------
 
@@ -753,6 +759,7 @@ class HFSC(Scheduler):
         """
         _flat.elig_clear(self._flat)
         self._ul_wait = IndexedHeap()
+        self._snapshot_rows = {}
         packets = 0
         size = 0.0
         for cls in self._classes.values():
@@ -1119,6 +1126,13 @@ class HFSC(Scheduler):
         Every per-class number is read straight from the flat columns
         (the document is the one the ``HFSCClass`` properties would
         give, value for value).
+
+        An idle class's row is a pure function of the objects in its
+        memo key, so it is built and encoded once and then reused
+        (read-only, see :mod:`repro.util.rowmemo`) until one of them is
+        no longer the same object.  A class with queued packets or
+        active children is rebuilt every time: its ``queue`` interns
+        packets and its ``active_order`` follows the heap.
         """
         state = self._flat
         obj = state.obj
@@ -1133,10 +1147,14 @@ class HFSC(Scheduler):
                   ("on", "x0", "y0", "m1", "dx", "m2"))
             for kind in ("dc", "ec", "vc", "ul")
         )
+        dc_on, dc_x0, dc_y0, dc_m1, dc_dx, dc_m2 = dc
+        ec_on, ec_x0, ec_y0, ec_m1, ec_dx, ec_m2 = ec
+        vc_on, vc_x0, vc_y0, vc_m1, vc_dx, vc_m2 = vc
+        ul_on, ul_x0, ul_y0, ul_m1, ul_dx, ul_m2 = ul
 
-        def curve_doc(columns, s):
+        def curve_doc(columns, s, seq):
             on, x0, y0, m1, dx, m2 = columns
-            return [x0[s], y0[s], m1[s], dx[s], m2[s]] if on[s] else None
+            return seq((x0[s], y0[s], m1[s], dx[s], m2[s])) if on[s] else None
 
         def active_order(s):
             # Insertion order, not key order: heap updates keep the
@@ -1148,7 +1166,37 @@ class HFSC(Scheduler):
             return [obj[slots[i]].name
                     for i in sorted(range(len(seqs)), key=seqs.__getitem__)]
 
-        classes = []
+        def row(cls, s, queue, order, seq):
+            return {
+                "name": cls.name,
+                "parent": cls.parent.name,
+                "index": index[s],
+                "rt_requested": _sc_doc(cls.rt_requested, seq),
+                "rt_spec": _sc_doc(cls._rt_spec, seq),
+                "rt_admitted": bool(rt_adm[s]),
+                "ls_spec": _sc_doc(cls._ls_spec, seq),
+                "ul_spec": _sc_doc(cls._ul_spec, seq),
+                "queue": queue,
+                "cumul_rt": cumul_rt[s],
+                "total_work": total_work[s],
+                "bytes_rt": bytes_rt[s],
+                "bytes_ls": bytes_ls[s],
+                "deadline_curve": curve_doc(dc, s, seq),
+                "eligible_curve": curve_doc(ec, s, seq),
+                "virtual_curve": curve_doc(vc, s, seq),
+                "ul_curve": curve_doc(ul, s, seq),
+                "eligible": eligible[s],
+                "deadline": deadline[s],
+                "vt": vt[s],
+                "fit_time": fit_time[s],
+                "vt_watermark": vt_watermark[s],
+                "active_order": order,
+            }
+
+        memo = self._snapshot_rows
+        fresh: Dict[Any, Any] = {}
+        rows: List[Dict[str, Any]] = []
+        texts: List[Optional[str]] = []
         for cls in self._classes.values():
             parent = cls.parent
             if parent is None:
@@ -1161,31 +1209,32 @@ class HFSC(Scheduler):
                     reason="unsupported-name",
                 )
             s = cls.slot
-            classes.append({
-                "name": name,
-                "parent": parent.name,
-                "index": index[s],
-                "rt_requested": _sc_doc(cls.rt_requested),
-                "rt_spec": _sc_doc(cls._rt_spec),
-                "rt_admitted": bool(rt_adm[s]),
-                "ls_spec": _sc_doc(cls._ls_spec),
-                "ul_spec": _sc_doc(cls._ul_spec),
-                "queue": [add_packet(p) for p in cls.queue],
-                "cumul_rt": cumul_rt[s],
-                "total_work": total_work[s],
-                "bytes_rt": bytes_rt[s],
-                "bytes_ls": bytes_ls[s],
-                "deadline_curve": curve_doc(dc, s),
-                "eligible_curve": curve_doc(ec, s),
-                "virtual_curve": curve_doc(vc, s),
-                "ul_curve": curve_doc(ul, s),
-                "eligible": eligible[s],
-                "deadline": deadline[s],
-                "vt": vt[s],
-                "fit_time": fit_time[s],
-                "vt_watermark": vt_watermark[s],
-                "active_order": active_order(s),
-            })
+            if cls.queue or hmin_seq[s]:
+                rows.append(row(cls, s, [add_packet(p) for p in cls.queue],
+                                active_order(s), list))
+                texts.append(None)
+                continue
+            # Every object the row is built from (spelled out: the
+            # tuple display is the cheapest way to gather them).
+            key = (name, parent.name, index[s], cls.rt_requested,
+                   cls._rt_spec, cls._ls_spec, cls._ul_spec, rt_adm[s],
+                   cumul_rt[s], total_work[s], bytes_rt[s], bytes_ls[s],
+                   eligible[s], deadline[s], vt[s], fit_time[s],
+                   vt_watermark[s],
+                   dc_on[s], dc_x0[s], dc_y0[s], dc_m1[s], dc_dx[s], dc_m2[s],
+                   ec_on[s], ec_x0[s], ec_y0[s], ec_m1[s], ec_dx[s], ec_m2[s],
+                   vc_on[s], vc_x0[s], vc_y0[s], vc_m1[s], vc_dx[s], vc_m2[s],
+                   ul_on[s], ul_x0[s], ul_y0[s], ul_m1[s], ul_dx[s], ul_m2[s])
+            entry = memo.get(name)
+            if entry is None or not same_objects(entry[0], key):
+                doc = FrozenRow(row(cls, s, (), (), tuple))
+                entry = (key, doc, canonical_text(doc))
+            # Rebuilt every call, so removed classes drop out.
+            fresh[name] = entry
+            rows.append(entry[1])
+            texts.append(entry[2])
+        self._snapshot_rows = fresh
+        classes = EncodedRows(rows, texts)
         root = self.root.slot
         return {
             "type": "HFSC",

@@ -81,7 +81,9 @@ class LogLinearHistogram:
     Values are bucketed into power-of-two octaves above ``min_value``,
     each octave split into ``subbuckets`` linear sub-ranges -- the
     HdrHistogram layout.  Memory is a flat list of ints, independent of
-    the observation count, so soak runs can histogram every delay.
+    the observation count, so soak runs can histogram every delay; the
+    list is allocated on the first :meth:`record`, so the per-class
+    histograms of a large tree cost nothing until their class is served.
     """
 
     __slots__ = ("min_value", "subbuckets", "octaves", "counts",
@@ -94,7 +96,7 @@ class LogLinearHistogram:
         self.min_value = min_value
         self.subbuckets = subbuckets
         self.octaves = octaves
-        self.counts = [0] * (octaves * subbuckets)
+        self.counts: Optional[List[int]] = None
         self.count = 0
         self.total = 0.0
         self.min = math.inf
@@ -108,11 +110,14 @@ class LogLinearHistogram:
         octave = exponent - 1
         sub = int((mantissa - 0.5) * 2.0 * self.subbuckets)
         index = octave * self.subbuckets + sub
-        last = len(self.counts) - 1
+        last = self.octaves * self.subbuckets - 1
         return index if index < last else last
 
     def record(self, value: float) -> None:
-        self.counts[self._index(value)] += 1
+        counts = self.counts
+        if counts is None:
+            counts = self.counts = [0] * (self.octaves * self.subbuckets)
+        counts[self._index(value)] += 1
         self.count += 1
         self.total += value
         if value < self.min:
@@ -149,6 +154,8 @@ class LogLinearHistogram:
 
     def nonzero_buckets(self) -> List[Tuple[float, int]]:
         """(upper_bound, count) for every populated bucket, ascending."""
+        if self.counts is None:
+            return []
         return [
             (self.bucket_bound(index), n)
             for index, n in enumerate(self.counts)
@@ -330,14 +337,15 @@ class Telemetry:
         else:
             entry.ls_packets += 1
             entry.ls_bytes += size
-        data: Dict[str, Any] = {"size": size, "realtime": realtime}
         if deadline is not None:
             entry.deadlines_set += 1
             slack = deadline - now
             entry.slack_hist.record(slack if slack > 0.0 else 0.0)
-            data["deadline"] = deadline
-            data["slack"] = slack
         if self.record_packets:
+            data: Dict[str, Any] = {"size": size, "realtime": realtime}
+            if deadline is not None:
+                data["deadline"] = deadline
+                data["slack"] = deadline - now
             self.recorder.record(now, "dequeue", class_id, data)
 
     def on_depart(self, class_id: Any, size: float, now: float,

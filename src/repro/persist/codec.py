@@ -25,9 +25,10 @@ module owns everything around it:
   curve parameter survives bit-for-bit.  ``inf`` sentinels ride along
   as JSON ``Infinity`` literals (the Python dialect; snapshots are a
   private format, not an interchange one);
-* **atomic writes** -- :func:`save_snapshot` writes a temp file and
-  ``os.replace``\\ s it, so a crash mid-write never corrupts an
-  existing checkpoint.
+* **atomic writes** -- :func:`save_snapshot` writes a temp file,
+  ``os.replace``\\ s it and fsyncs the directory, so a crash mid-write
+  never corrupts an existing checkpoint and a power loss cannot undo
+  the rename.
 
 Restores are atomic by construction: every codec builds fresh objects
 and only hands them over on success, so a refused document leaves no
@@ -39,11 +40,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import repro.sim.packet as _packet_mod
 from repro.core.errors import SnapshotError
 from repro.sim.packet import Packet
+from repro.util.rowmemo import EncodedRows, canonical_text
 
 FORMAT = "repro-snapshot"
 SCHEMA_VERSION = 1
@@ -63,9 +65,54 @@ _PACKET_FIELDS = (
 )
 
 
+#: Placeholder for the ``i``-th row list at attempt ``a``:
+#: ``_STUB.format(a) + str(i)``.
+_STUB = "\0rows{}."
+
+
+def _stub_rows(doc: Dict[str, Any], token: str,
+               found: List[Tuple[str, EncodedRows]]) -> Dict[str, Any]:
+    """``doc`` with each :class:`EncodedRows` under its dicts replaced by
+    a numbered ``token`` string; copies only the dicts on those paths."""
+    out = doc
+    for key, value in doc.items():
+        if type(value) is EncodedRows:
+            stub: Any = f"{token}{len(found)}"
+            found.append((stub, value))
+        elif type(value) is dict:
+            stub = _stub_rows(value, token, found)
+            if stub is value:
+                continue
+        else:
+            continue
+        if out is doc:
+            out = dict(doc)
+        out[key] = stub
+    return out
+
+
 def _canonical(body: Dict[str, Any]) -> Tuple[str, str]:
-    """``body``'s canonical serialization and the checksum over it."""
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    """``body``'s canonical serialization and the checksum over it.
+
+    The text is ``json.dumps(body, sort_keys=True, separators=(",", ":"))``
+    byte for byte.  Row lists that carry their rows' texts
+    (:class:`EncodedRows`, a scheduler's snapshot memo) are not
+    re-encoded: each is stubbed out by a placeholder string, the rest is
+    encoded, and the texts are spliced where the placeholder landed.  A
+    placeholder that also occurs elsewhere in the text (a class named
+    like it) is not unique, so another one is tried.
+    """
+    attempt = 0
+    while True:
+        found: List[Tuple[str, EncodedRows]] = []
+        text = canonical_text(_stub_rows(body, _STUB.format(attempt), found))
+        stubs = [(canonical_text(stub), rows) for stub, rows in found]
+        if all(text.count(stub) == 1 for stub, _ in stubs):
+            break
+        attempt += 1
+    for stub, rows in stubs:
+        head, tail = text.split(stub)
+        text = head + rows.encoded() + tail
     return text, "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -146,7 +193,9 @@ def save_snapshot(path: str, body: Dict[str, Any]) -> None:
 
     The document lands under a temporary name first and is
     ``os.replace``\\ d into place, so an interrupted write -- the whole
-    point of checkpointing -- can never corrupt the previous snapshot.
+    point of checkpointing -- can never corrupt the previous snapshot;
+    the directory is then fsynced so the rename itself survives a power
+    loss.
     """
     text = dumps_snapshot(body)
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -157,9 +206,25 @@ def save_snapshot(path: str, body: Dict[str, Any]) -> None:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
+        sync_directory(path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def sync_directory(path: str) -> None:
+    """fsync the directory holding ``path``.
+
+    ``os.replace`` is atomic but lives in the directory's metadata: until
+    the directory itself is synced, a power loss can bring the old entry
+    back.  Call once after the last rename of a write.
+    """
+    fd = os.open(os.path.dirname(os.path.abspath(path)),
+                 os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_snapshot(path: str) -> Dict[str, Any]:

@@ -30,6 +30,7 @@ except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None  # type: ignore[assignment]
 
 from repro.core.errors import SnapshotError
+from repro.persist.codec import sync_directory
 
 MANIFEST_FORMAT = "repro-cluster-manifest"
 MANIFEST_SCHEMA = 1
@@ -121,6 +122,7 @@ def _atomic_write_doc(manifest_path: str, doc: Dict[str, Any]) -> None:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, manifest_path)
+        sync_directory(manifest_path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

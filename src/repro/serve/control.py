@@ -40,7 +40,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-from operator import is_
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro import __version__
@@ -53,6 +52,7 @@ from repro.core.hfsc import HFSC, ROOT, UNCHANGED
 from repro.obs import export as obs_export
 from repro.obs.core import TELEMETRY as _TELEM
 from repro.serve.hierarchy import curve_from_doc
+from repro.util.rowmemo import same_objects
 
 #: Largest accepted request line; a control peer is trusted but a runaway
 #: client must not balloon the service's memory.
@@ -277,8 +277,7 @@ class ControlServer:
         parts = []
         for key, queued in rows:
             entry = memo.get(key[0])
-            # Identity, not equality: 1 == 1.0 and 0.0 == -0.0 print apart.
-            if entry is None or not all(map(is_, entry[0], key)):
+            if entry is None or not same_objects(entry[0], key):
                 entry = (key, *_row_text(make_row(key)))
             fresh[key[0]] = entry
             parts.append(f"{entry[1]}{queued}{entry[2]}")

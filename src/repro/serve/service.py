@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.core.errors import ReproError
 from repro.core.flatstate import kernel_info
 from repro.core.hierarchy import ClassSpec
-from repro.persist.codec import load_snapshot, save_snapshot
+from repro.persist.codec import load_snapshot, save_snapshot, sync_directory
 from repro.persist.runtime import RunContext
 from repro.serve.driver import RealTimeDriver
 from repro.serve.hierarchy import build_scheduler, leaf_names
@@ -180,6 +180,7 @@ class ServeService:
         if os.path.exists(path):
             os.replace(path, path + ".prev")
         os.replace(staged, path)
+        sync_directory(path)
         self.checkpoints_written += 1
         if self.on_checkpoint is not None:
             self.on_checkpoint(path)

@@ -16,6 +16,7 @@ import pytest
 from repro.obs.core import (
     EVENT_KINDS,
     TELEMETRY,
+    ClassTelemetry,
     Counter,
     FlightRecorder,
     Gauge,
@@ -85,6 +86,39 @@ def test_histogram_below_min_value_and_saturation():
     assert h.count == 2
     assert h.counts[0] == 1
     assert h.counts[-1] == 1
+
+
+def test_histogram_buckets_allocated_on_first_record():
+    # Two histograms per class: a large tree must not pay for the
+    # buckets of classes that were never served.
+    entry = ClassTelemetry("c")
+    for h in (entry.delay_hist, entry.slack_hist):
+        assert h.counts is None
+        assert h.quantile(0.5) == 0.0
+        assert h.quantile(1.0) == 0.0
+        assert h.nonzero_buckets() == []
+        assert h.mean == 0.0
+    entry.delay_hist.record(0.25)
+    assert len(entry.delay_hist.counts) == 48 * 16
+    assert entry.delay_hist.quantile(1.0) == 0.25
+    assert entry.slack_hist.counts is None
+
+
+def test_hfsc_serve_tap_without_packet_records():
+    telem = Telemetry()
+    telem.enabled = True
+    telem.record_packets = False
+    telem.on_hfsc_serve("c", 100.0, 1.0, True, 1.5)
+    entry = telem.per_class["c"]
+    assert entry.rt_packets == 1 and entry.deadlines_set == 1
+    assert entry.slack_hist.quantile(1.0) == 0.5
+    assert len(telem.recorder) == 0
+    telem.record_packets = True
+    telem.on_hfsc_serve("c", 100.0, 2.0, True, 2.25)
+    assert telem.recorder.to_dicts()[-1] == {
+        "time": 2.0, "kind": "dequeue", "class_id": "c", "size": 100.0,
+        "realtime": True, "deadline": 2.25, "slack": 0.25,
+    }
 
 
 def test_flight_recorder_ring_eviction():

@@ -3,10 +3,13 @@
 import hashlib
 import json
 import os
+import stat
 
 import pytest
 
+from repro.core.curves import ServiceCurve
 from repro.core.errors import SnapshotError
+from repro.core.hierarchy import ClassSpec
 from repro.persist.codec import (
     FORMAT,
     SCHEMA_VERSION,
@@ -18,6 +21,8 @@ from repro.persist.codec import (
     restore_packets,
     save_snapshot,
 )
+from repro.persist.manifest import write_manifest
+from repro.serve.service import ServeService
 from repro.sim.packet import Packet
 
 BODY = {"kind": "drive", "x": 1.5, "nested": {"a": [1, 2, 3]}}
@@ -154,6 +159,57 @@ class TestFileIO:
         with pytest.raises(SnapshotError) as err:
             load_snapshot(str(path))
         assert err.value.reason == "checksum-mismatch"
+
+
+class TestDirectorySync:
+    """Every atomic write fsyncs its directory after the last rename, so
+    a power loss cannot bring the old directory entry back."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """``("replace", target name)`` and ``("dirsync", inode)`` in call
+        order."""
+        real_fsync, real_replace = os.fsync, os.replace
+        seen = []
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):
+                seen.append(("dirsync", info.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            seen.append(("replace", os.path.basename(dst)))
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        return seen
+
+    @staticmethod
+    def assert_synced_last(events, directory, name):
+        assert events[-2:] == [("replace", name),
+                               ("dirsync", os.stat(directory).st_ino)]
+
+    def test_save_snapshot(self, tmp_path, events):
+        save_snapshot(str(tmp_path / "snap.json"), BODY)
+        self.assert_synced_last(events, tmp_path, "snap.json")
+
+    def test_manifest_write(self, tmp_path, events):
+        save_snapshot(str(tmp_path / "shard-0.snap"), BODY)
+        write_manifest(str(tmp_path), ring_params={"shards": 1},
+                       backend="hfsc", link_rate=1000.0)
+        self.assert_synced_last(events, tmp_path, "manifest.json")
+
+    def test_checkpoint_rotation(self, tmp_path, events):
+        service = ServeService(
+            [ClassSpec("only", sc=ServiceCurve.linear(1000.0))], 1000.0,
+            watchdog_period=0)
+        path = str(tmp_path / "svc.snap")
+        service.checkpoint(path)
+        service.checkpoint(path)  # save .next, rotate, rename into place
+        assert ("replace", "svc.snap.prev") in events
+        self.assert_synced_last(events, tmp_path, "svc.snap")
 
 
 class TestPacketTable:
