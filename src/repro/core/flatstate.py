@@ -33,10 +33,11 @@ operands, so schedules are byte-identical -- the golden-digest suite
 A compiled fast path (see :mod:`repro._fastpath`) provides the same
 kernels as a C extension over the same buffers; import-time selection
 happens in this module (``REPRO_NO_COMPILED=1`` forces pure Python).
-:class:`CurveView` and :class:`HeapView` give the object façade in
-:mod:`repro.core.hfsc` read/write access to the arrays under the seed's
-attribute API, so persist codecs, telemetry taps, experiments and tests
-are untouched.
+These columns are the only store of the per-class numbers.  The
+object façade in :mod:`repro.core.hfsc` keeps scalar properties over
+single cells for measurement code; its cold paths (reconfiguration,
+rebuild, restore, renormalization) use the same curve, heap and
+eligible-set functions as the kernels, so there is one way in.
 """
 
 from __future__ import annotations
@@ -68,11 +69,12 @@ _SPECS = ("rt", "es", "ls", "ulsp")
 class FlatState:
     """Parallel arrays for every hot per-class quantity, keyed by slot id.
 
-    Slots are allocated densely and recycled through a free list; the
+    Slots are allocated densely and recycled through a free list.  The
     object façade (:class:`repro.core.hfsc.HFSCClass`) holds ``(state,
-    slot)`` and reads/writes through properties.  ``obj[slot]`` maps back
-    to the façade object so flat kernels can return classes to the
-    object-level shell.
+    slot)``; its scalar properties read and write single cells, and
+    everything else (curves, sibling heaps, the eligible set) goes through
+    the functions of this module.  ``obj[slot]`` maps back to the façade
+    object so flat kernels can return classes to the object-level shell.
     """
 
     __slots__ = (
@@ -210,7 +212,7 @@ class FlatState:
         return slot
 
     def free(self, slot: int) -> None:
-        """Release a slot back to the pool (the façade detaches first)."""
+        """Release a slot back to the pool (its cells are reset on reuse)."""
         self.obj[slot] = None
         self._free.append(slot)
 
@@ -248,36 +250,6 @@ class FlatState:
         self.req_d[slot] = 0.0
         self.efut_pos[slot] = -1
         self.erdy_pos[slot] = -1
-
-    def adopt_slot(self, other: "FlatState", slot: int) -> int:
-        """Copy ``other``'s per-slot values into a fresh slot of self.
-
-        Used to *detach* a removed class: its façade keeps a one-slot
-        private state so stale external handles still read the values the
-        class died with, while the shared slot is recycled.  Heap
-        membership and structure links are deliberately not copied (a
-        detached class is passive by construction).
-        """
-        mine = self.alloc(None)
-        for name in _SCALARS:
-            getattr(self, name)[mine] = getattr(other, name)[slot]
-        for kind in CURVE_KINDS:
-            for field in CURVE_FIELDS:
-                name = f"{kind}_{field}"
-                getattr(self, name)[mine] = getattr(other, name)[slot]
-            name = f"{kind}_on"
-            getattr(self, name)[mine] = getattr(other, name)[slot]
-        for spec in _SPECS:
-            for field in ("m1", "d", "m2"):
-                name = f"{spec}_{field}"
-                getattr(self, name)[mine] = getattr(other, name)[slot]
-        self.rt_on[mine] = other.rt_on[slot]
-        self.ls_on[mine] = other.ls_on[slot]
-        self.ulsp_on[mine] = other.ulsp_on[slot]
-        self.index[mine] = other.index[slot]
-        self.rt_adm[mine] = other.rt_adm[slot]
-        return mine
-
 
 # -- flat curve kernels (pure Python; the C fast path mirrors these) --------
 #
@@ -432,62 +404,11 @@ def heap_sift_down(keys, seqs, slots, pos, i: int) -> None:
     pos[slot] = i
 
 
-def heap_push(state: FlatState, side_min: bool, parent: int,
-              slot: int, key: float) -> None:
-    if side_min:
-        keys, seqs, slots = (state.hmin_key[parent], state.hmin_seq[parent],
-                             state.hmin_slot[parent])
-        pos, ctr = state.hmin_pos, state.hmin_ctr
-    else:
-        keys, seqs, slots = (state.hmax_key[parent], state.hmax_seq[parent],
-                             state.hmax_slot[parent])
-        pos, ctr = state.hmax_pos, state.hmax_ctr
-    if pos[slot] != -1:
-        raise ValueError(f"slot already in heap: {slot}")
-    seq = ctr[parent]
-    ctr[parent] = seq + 1
-    keys.append(key)
-    seqs.append(seq)
-    slots.append(slot)
-    pos[slot] = len(keys) - 1
-    heap_sift_up(keys, seqs, slots, pos, len(keys) - 1)
+def _eheap_delete(keys, seqs, slots, pos, i: int) -> None:
+    """Remove entry ``i`` (pos already cleared) with the swap-last rule.
 
-
-def heap_update(state: FlatState, side_min: bool, parent: int,
-                slot: int, key: float) -> None:
-    if side_min:
-        keys, seqs, slots = (state.hmin_key[parent], state.hmin_seq[parent],
-                             state.hmin_slot[parent])
-        pos = state.hmin_pos
-    else:
-        keys, seqs, slots = (state.hmax_key[parent], state.hmax_seq[parent],
-                             state.hmax_slot[parent])
-        pos = state.hmax_pos
-    i = pos[slot]
-    if i < 0:
-        raise KeyError(slot)
-    old = keys[i]
-    keys[i] = key
-    if key < old:
-        heap_sift_up(keys, seqs, slots, pos, i)
-    else:
-        heap_sift_down(keys, seqs, slots, pos, i)
-
-
-def heap_remove(state: FlatState, side_min: bool, parent: int, slot: int) -> float:
-    if side_min:
-        keys, seqs, slots = (state.hmin_key[parent], state.hmin_seq[parent],
-                             state.hmin_slot[parent])
-        pos = state.hmin_pos
-    else:
-        keys, seqs, slots = (state.hmax_key[parent], state.hmax_seq[parent],
-                             state.hmax_slot[parent])
-        pos = state.hmax_pos
-    i = pos[slot]
-    if i < 0:
-        raise KeyError(slot)
-    pos[slot] = -1
-    removed_key = keys[i]
+    Shared by the sibling heaps and the eligible heaps.
+    """
     last_key = keys.pop()
     last_seq = seqs.pop()
     last_slot = slots.pop()
@@ -498,16 +419,15 @@ def heap_remove(state: FlatState, side_min: bool, parent: int, slot: int) -> flo
         pos[last_slot] = i
         heap_sift_up(keys, seqs, slots, pos, i)
         heap_sift_down(keys, seqs, slots, pos, pos[last_slot])
-    return removed_key
 
 
 def heap_push2(state: FlatState, parent: int, slot: int, key: float) -> None:
     """Push ``slot`` onto both sibling heaps (min: key, max: -key).
 
-    Fused variant of two :func:`heap_push` calls with the sifts inlined;
-    the kernels call this once per activation level.  Skips the
-    already-present guard -- the caller (activation walk) owns the
-    invariant.
+    The min-side push, then the max-side push, each taking the next
+    number of its own side's sequence counter; the sifts are inlined.
+    The kernels call this once per activation level.  There is no
+    already-present guard: the caller owns that invariant.
     """
     keys = state.hmin_key[parent]
     seqs = state.hmin_seq[parent]
@@ -619,38 +539,15 @@ def heap_update2(state: FlatState, parent: int, slot: int, key: float) -> None:
 
 def heap_remove2(state: FlatState, parent: int, slot: int) -> None:
     """Remove ``slot`` from both sibling heaps (fused pair removal)."""
-    keys = state.hmin_key[parent]
-    seqs = state.hmin_seq[parent]
-    slots = state.hmin_slot[parent]
-    pos = state.hmin_pos
-    i = pos[slot]
-    pos[slot] = -1
-    last_key = keys.pop()
-    last_seq = seqs.pop()
-    last_slot = slots.pop()
-    if i < len(keys):
-        keys[i] = last_key
-        seqs[i] = last_seq
-        slots[i] = last_slot
-        pos[last_slot] = i
-        heap_sift_up(keys, seqs, slots, pos, i)
-        heap_sift_down(keys, seqs, slots, pos, pos[last_slot])
-    keys = state.hmax_key[parent]
-    seqs = state.hmax_seq[parent]
-    slots = state.hmax_slot[parent]
-    pos = state.hmax_pos
-    i = pos[slot]
-    pos[slot] = -1
-    last_key = keys.pop()
-    last_seq = seqs.pop()
-    last_slot = slots.pop()
-    if i < len(keys):
-        keys[i] = last_key
-        seqs[i] = last_seq
-        slots[i] = last_slot
-        pos[last_slot] = i
-        heap_sift_up(keys, seqs, slots, pos, i)
-        heap_sift_down(keys, seqs, slots, pos, pos[last_slot])
+    for keys, seqs, slots, pos in (
+        (state.hmin_key[parent], state.hmin_seq[parent],
+         state.hmin_slot[parent], state.hmin_pos),
+        (state.hmax_key[parent], state.hmax_seq[parent],
+         state.hmax_slot[parent], state.hmax_pos),
+    ):
+        i = pos[slot]
+        pos[slot] = -1
+        _eheap_delete(keys, seqs, slots, pos, i)
 
 
 def heap_iter_sorted(keys, seqs, slots) -> Iterator[Tuple[float, int]]:
@@ -702,20 +599,6 @@ def system_vt(state: FlatState, slot: int, policy: int) -> float:
 # matured requests never move back -- ``update`` re-inserts through the
 # future heap.  There is no RNG and no pointer chasing: the per-serve
 # re-key is one or two short list sifts.
-
-
-def _eheap_delete(keys, seqs, slots, pos, i: int) -> None:
-    """Remove entry ``i`` (pos already cleared) with the swap-last rule."""
-    last_key = keys.pop()
-    last_seq = seqs.pop()
-    last_slot = slots.pop()
-    if i < len(keys):
-        keys[i] = last_key
-        seqs[i] = last_seq
-        slots[i] = last_slot
-        pos[last_slot] = i
-        heap_sift_up(keys, seqs, slots, pos, i)
-        heap_sift_down(keys, seqs, slots, pos, pos[last_slot])
 
 
 def elig_insert(state: FlatState, slot: int, eligible: float,
@@ -1193,216 +1076,6 @@ def ls_descend(state: FlatState, root_slot: int) -> int:
     while nactive[s] > 0:
         s = hmin_slot[s][0]
     return s
-
-
-# -- façade views ------------------------------------------------------------
-
-
-class CurveView:
-    """RuntimeCurve-compatible window onto one curve's array cells.
-
-    Created on demand by the :class:`repro.core.hfsc.HFSCClass` curve
-    properties; mutations write straight through to the flat arrays.
-    Implements the full RuntimeCurve API (the drift guard calls
-    ``rebase``/``shift_x``, analysis reads the parameters).
-    """
-
-    __slots__ = ("_s", "_k", "_i")
-
-    def __init__(self, state: FlatState, kind: str, slot: int):
-        self._s = state
-        self._k = kind
-        self._i = slot
-
-    def _arr(self, field: str):
-        return getattr(self._s, f"{self._k}_{field}")
-
-    # Parameter access, read/write.
-    @property
-    def x0(self) -> float:
-        return self._arr("x0")[self._i]
-
-    @x0.setter
-    def x0(self, v: float) -> None:
-        self._arr("x0")[self._i] = v
-
-    @property
-    def y0(self) -> float:
-        return self._arr("y0")[self._i]
-
-    @property
-    def m1(self) -> float:
-        return self._arr("m1")[self._i]
-
-    @property
-    def dx(self) -> float:
-        return self._arr("dx")[self._i]
-
-    @property
-    def m2(self) -> float:
-        return self._arr("m2")[self._i]
-
-    @property
-    def knee(self) -> Tuple[float, float]:
-        return (self.x0 + self.dx, self.y0 + self.m1 * self.dx)
-
-    def value(self, x: float) -> float:
-        s = self._s
-        k = self._k
-        return curve_value(getattr(s, f"{k}_x0"), getattr(s, f"{k}_y0"),
-                           getattr(s, f"{k}_m1"), getattr(s, f"{k}_dx"),
-                           getattr(s, f"{k}_m2"), self._i, x)
-
-    def inverse(self, y: float) -> float:
-        s = self._s
-        k = self._k
-        return curve_inverse(getattr(s, f"{k}_x0"), getattr(s, f"{k}_y0"),
-                             getattr(s, f"{k}_m1"), getattr(s, f"{k}_dx"),
-                             getattr(s, f"{k}_m2"), getattr(s, f"{k}_kx"),
-                             getattr(s, f"{k}_ky"), self._i, y)
-
-    def min_with(self, spec, x: float, y: float) -> None:
-        s = self._s
-        k = self._k
-        curve_min_with(getattr(s, f"{k}_x0"), getattr(s, f"{k}_y0"),
-                       getattr(s, f"{k}_m1"), getattr(s, f"{k}_dx"),
-                       getattr(s, f"{k}_m2"), getattr(s, f"{k}_ky"),
-                       self._i, spec.m1, spec.d, spec.m2, x, y)
-
-    def rebase(self, x: float) -> None:
-        i = self._i
-        x0a = self._arr("x0")
-        step = x - x0a[i]
-        if step <= 0.0:
-            return
-        y0a = self._arr("y0")
-        m1a = self._arr("m1")
-        dxa = self._arr("dx")
-        m2a = self._arr("m2")
-        if step < dxa[i]:
-            y0a[i] += m1a[i] * step
-            dxa[i] -= step
-        else:
-            y0a[i] += m1a[i] * dxa[i] + m2a[i] * (step - dxa[i])
-            m1a[i] = m2a[i]
-            dxa[i] = 0.0
-        x0a[i] = x
-        self._arr("ky")[i] = NAN
-
-    def shift_x(self, delta: float) -> None:
-        self._arr("x0")[self._i] += delta
-        self._arr("ky")[self._i] = NAN
-
-    def to_doc(self) -> Tuple[float, float, float, float, float]:
-        return (self.x0, self.y0, self.m1, self.dx, self.m2)
-
-    def copy(self):
-        from repro.core.runtime_curves import RuntimeCurve
-        return RuntimeCurve(self.x0, self.y0, self.m1, self.dx, self.m2)
-
-    def __repr__(self) -> str:
-        return (
-            f"RuntimeCurve(x0={self.x0:g}, y0={self.y0:g}, m1={self.m1:g}, "
-            f"dx={self.dx:g}, m2={self.m2:g})"
-        )
-
-
-class HeapView:
-    """IndexedHeap-compatible window onto one parent's flat sibling heap.
-
-    ``side_min=True`` is the virtual-time min-heap, ``False`` the negated
-    max-heap.  Items are the child façade objects (``state.obj``), so
-    existing callers -- snapshot order lists, ``virtual_times()``,
-    invariant checks, tests -- see exactly the seed API.
-    """
-
-    __slots__ = ("_s", "_p", "_min")
-
-    def __init__(self, state: FlatState, parent_slot: int, side_min: bool):
-        self._s = state
-        self._p = parent_slot
-        self._min = side_min
-
-    def _tri(self):
-        s = self._s
-        p = self._p
-        if self._min:
-            return s.hmin_key[p], s.hmin_seq[p], s.hmin_slot[p], s.hmin_pos
-        return s.hmax_key[p], s.hmax_seq[p], s.hmax_slot[p], s.hmax_pos
-
-    def __len__(self) -> int:
-        return len(self._tri()[0])
-
-    def __bool__(self) -> bool:
-        return bool(self._tri()[0])
-
-    def __contains__(self, item: Any) -> bool:
-        state = self._s
-        slot = item.slot
-        if item.state is not state or state.parent[slot] != self._p:
-            return False
-        pos = state.hmin_pos if self._min else state.hmax_pos
-        return pos[slot] != -1
-
-    def __iter__(self) -> Iterator[Any]:
-        obj = self._s.obj
-        return (obj[slot] for slot in self._tri()[2])
-
-    def key_of(self, item: Any) -> float:
-        keys, _seqs, _slots, pos = self._tri()
-        if item not in self:
-            raise KeyError(item)
-        return keys[pos[item.slot]]
-
-    def peek_key(self) -> float:
-        keys = self._tri()[0]
-        if not keys:
-            raise IndexError("peek from empty heap")
-        return keys[0]
-
-    def peek_item(self) -> Any:
-        _keys, _seqs, slots, _pos = self._tri()
-        if not slots:
-            raise IndexError("peek from empty heap")
-        return self._s.obj[slots[0]]
-
-    def min_is_tied(self) -> bool:
-        keys = self._tri()[0]
-        key = keys[0]
-        if len(keys) > 1 and keys[1] == key:
-            return True
-        return len(keys) > 2 and keys[2] == key
-
-    def push(self, item: Any, key: float) -> None:
-        heap_push(self._s, self._min, self._p, item.slot, key)
-
-    def update(self, item: Any, key: float) -> None:
-        heap_update(self._s, self._min, self._p, item.slot, key)
-
-    def remove(self, item: Any) -> float:
-        return heap_remove(self._s, self._min, self._p, item.slot)
-
-    def clear(self) -> None:
-        keys, seqs, slots, pos = self._tri()
-        for slot in slots:
-            pos[slot] = -1
-        keys.clear()
-        seqs.clear()
-        slots.clear()
-        ctr = self._s.hmin_ctr if self._min else self._s.hmax_ctr
-        ctr[self._p] = 0
-
-    def iter_sorted(self) -> Iterator[Tuple[float, Any]]:
-        keys, seqs, slots, _pos = self._tri()
-        obj = self._s.obj
-        return ((key, obj[slot]) for key, slot in
-                heap_iter_sorted(keys, seqs, slots))
-
-    def iter_insertion(self) -> Iterator[Any]:
-        keys, seqs, slots, _pos = self._tri()
-        obj = self._s.obj
-        order = sorted(range(len(seqs)), key=seqs.__getitem__)
-        return (obj[slots[i]] for i in order)
 
 
 # -- compiled fast-path selection -------------------------------------------

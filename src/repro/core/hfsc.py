@@ -52,13 +52,16 @@ from repro.core.errors import (
 )
 from repro.core import flatstate as _flat
 from repro.core.flatstate import (
+    CURVE_FIELDS,
     NAN,
-    CurveView,
     FlatState,
-    HeapView,
+    curve_inverse,
+    curve_set,
     heap_iter_sorted,
+    heap_push2,
+    heap_update2,
 )
-from repro.core.runtime_curves import RuntimeCurve, eligible_spec
+from repro.core.runtime_curves import eligible_spec
 from repro.obs.core import TELEMETRY as _TELEM
 from repro.schedulers.base import Scheduler
 from repro.sim.packet import Packet
@@ -113,16 +116,45 @@ def _sc_from(doc) -> Optional[ServiceCurve]:
         ) from exc
 
 
-def _rc_from(doc) -> Optional[RuntimeCurve]:
+def _curve_from(state: FlatState, kind: str, slot: int, doc) -> None:
+    """Runtime-curve document -> the curve's cells (None: left absent)."""
     if doc is None:
-        return None
+        return
     try:
-        return RuntimeCurve.from_doc(doc)
+        x0, y0, m1, dx, m2 = doc
     except (TypeError, ValueError) as exc:
         raise SnapshotError(
             f"malformed runtime-curve document {doc!r}: {exc}",
             reason="bad-curve",
         ) from exc
+    curve_set(state, kind, slot, m1, dx, m2, x0, y0)
+
+
+def _curve_inverse(state: FlatState, kind: str, slot: int, y: float) -> float:
+    """:func:`~repro.core.flatstate.curve_inverse` on one kind's columns."""
+    return curve_inverse(
+        *(getattr(state, f"{kind}_{field}") for field in CURVE_FIELDS), slot, y
+    )
+
+
+def _clear_heaps(state: FlatState, parent: int) -> None:
+    """Empty ``parent``'s two sibling heaps and restart their sequences.
+
+    Re-pushing in insertion order afterwards hands out the same relative
+    sequence numbers, so exact virtual-time ties break as before.
+    """
+    for keys, seqs, slots, pos, ctr in (
+        (state.hmin_key, state.hmin_seq, state.hmin_slot, state.hmin_pos,
+         state.hmin_ctr),
+        (state.hmax_key, state.hmax_seq, state.hmax_slot, state.hmax_pos,
+         state.hmax_ctr),
+    ):
+        for slot in slots[parent]:
+            pos[slot] = -1
+        keys[parent].clear()
+        seqs[parent].clear()
+        slots[parent].clear()
+        ctr[parent] = 0
 
 
 def _require_keys(doc: Any, keys: Iterable[Any], what: str) -> None:
@@ -168,56 +200,19 @@ def _flag_prop(arr_name: str, doc: str):
     return property(fget, fset, doc=doc)
 
 
-def _curve_prop(kind: str, doc: str):
-    """RuntimeCurve-valued property backed by the flat curve arrays.
-
-    Reading yields a :class:`~repro.core.flatstate.CurveView` (or None
-    when the curve is absent); assigning a RuntimeCurve/CurveView copies
-    its parameters into the arrays, assigning None clears the presence
-    flag.  The knee memo is reset on assignment -- it is a pure cache and
-    never serialized, so recomputing it is value-neutral.
-    """
-
-    on_name = kind + "_on"
-
-    def fget(self):
-        if getattr(self.state, on_name)[self.slot]:
-            return CurveView(self.state, kind, self.slot)
-        return None
-
-    def fset(self, curve):
-        state = self.state
-        slot = self.slot
-        if curve is None:
-            getattr(state, on_name)[slot] = 0
-            return
-        getattr(state, kind + "_x0")[slot] = curve.x0
-        getattr(state, kind + "_y0")[slot] = curve.y0
-        getattr(state, kind + "_m1")[slot] = curve.m1
-        getattr(state, kind + "_dx")[slot] = curve.dx
-        getattr(state, kind + "_m2")[slot] = curve.m2
-        getattr(state, kind + "_ky")[slot] = NAN
-        getattr(state, on_name)[slot] = 1
-
-    return property(fget, fset, doc=doc)
-
-
 class HFSCClass:
     """One node of the link-sharing hierarchy.
 
-    Users obtain instances from :meth:`HFSC.add_class`; the attributes are
-    read-only state exposed for measurement (experiments read ``vt``,
-    ``cumul_rt``, ``total_work`` and the byte counters).
-
-    Since the flat-state refactor this object is a *façade*: every hot
-    numeric quantity lives in the scheduler's shared
-    :class:`~repro.core.flatstate.FlatState` arrays at ``self.slot``, and
-    the historical attributes are properties over those cells.  Curves
-    read as :class:`~repro.core.flatstate.CurveView` and the per-parent
-    activity heaps as :class:`~repro.core.flatstate.HeapView`, both
-    API-compatible with the objects they replaced.  Only identity-bound
-    state (name, tree links, the packet queue, configured specs) stays on
-    the object.
+    Users obtain instances from :meth:`HFSC.add_class`.  The object holds
+    identity-bound state only (name, tree links, the packet queue,
+    configured specs); every per-class number lives in the scheduler's
+    shared :class:`~repro.core.flatstate.FlatState` columns at
+    ``self.slot``.  The scalar properties below (``vt``, ``cumul_rt``,
+    ``total_work``, the byte counters, ...) read and write those cells
+    for measurement code; the runtime curves and the sibling heaps have
+    no object form and are reached through the columns.  Removal frees
+    the slot and sets ``state`` to None, so a removed class's numbers
+    cannot be read.
     """
 
     __slots__ = (
@@ -350,21 +345,6 @@ class HFSCClass:
     bytes_rt = _scalar_prop("bytes_rt", "Bytes served via the rt criterion.")
     bytes_ls = _scalar_prop("bytes_ls", "Bytes served via link-sharing.")
 
-    deadline_curve = _curve_prop("dc", "Deadline curve D_i (Fig. 5).")
-    eligible_curve = _curve_prop("ec", "Eligible curve E_i (Fig. 5).")
-    virtual_curve = _curve_prop("vc", "Virtual curve V_i (Fig. 6).")
-    ul_curve = _curve_prop("ul", "Upper-limit curve (extension).")
-
-    @property
-    def active_min(self) -> HeapView:
-        """Min-heap view over active children's virtual times."""
-        return HeapView(self.state, self.slot, True)
-
-    @property
-    def active_max(self) -> HeapView:
-        """Max-heap view (negated keys) over active children's vts."""
-        return HeapView(self.state, self.slot, False)
-
     @property
     def is_leaf(self) -> bool:
         return not self.children
@@ -392,21 +372,6 @@ class HFSCClass:
         return _flat.system_vt(
             self.state, self.slot, _POLICY_CODES[self.vt_policy]
         )
-
-    def _detach(self) -> None:
-        """Move this class onto a private one-slot state (on removal).
-
-        Frees the shared slot for reuse while keeping every scalar
-        readable at its final value, so stale external handles (e.g. a
-        measurement loop holding a drained class) behave exactly as they
-        did when removed classes kept their own attributes.
-        """
-        private = FlatState(1)
-        slot = private.adopt_slot(self.state, self.slot)
-        private.obj[slot] = self
-        self.state.free(self.slot)
-        self.state = private
-        self.slot = slot
 
     def __repr__(self) -> str:
         return f"HFSCClass({self.name!r})"
@@ -648,6 +613,8 @@ class HFSC(Scheduler):
                     operation="update_class", class_id=name, reason="ambiguous-curves",
                 )
             rt_sc, ls_sc = sc, sc
+        state = self._flat
+        slot = cls.slot
         new_rt = cls.rt_requested if rt_sc is UNCHANGED else rt_sc
         new_ls = cls.ls_spec if ls_sc is UNCHANGED else ls_sc
         new_ul = cls.ul_spec if ul_sc is UNCHANGED else ul_sc
@@ -675,10 +642,9 @@ class HFSC(Scheduler):
             cls.rt_spec = new_rt
             cls.rt_admitted = True  # a fresh request; re-vetted lazily
             if new_rt is None:
-                if _flat.elig_contains(self._flat, cls.slot):
-                    _flat.elig_remove(self._flat, cls.slot)
-                cls.deadline_curve = None
-                cls.eligible_curve = None
+                if _flat.elig_contains(state, slot):
+                    _flat.elig_remove(state, slot)
+                state.dc_on[slot] = state.ec_on[slot] = 0
             else:
                 self._reanchor_rt(cls, now)
         if new_ls is not cls.ls_spec:
@@ -686,19 +652,17 @@ class HFSC(Scheduler):
             if new_ls is None:
                 if cls.ls_active:
                     self._passivate_ls(cls)
-                cls.virtual_curve = None
+                state.vc_on[slot] = 0
             elif cls.ls_active:
                 parent = cls.parent
                 assert parent is not None
-                pvt = parent.system_vt()
-                cls.virtual_curve = RuntimeCurve.from_spec(
-                    new_ls, pvt, cls.total_work
-                )
-                cls.vt = cls.virtual_curve.inverse(cls.total_work)
-                parent.active_min.update(cls, cls.vt)
-                parent.active_max.update(cls, -cls.vt)
+                w = state.total_work[slot]
+                curve_set(state, "vc", slot, new_ls.m1, new_ls.d, new_ls.m2,
+                          parent.system_vt(), w)
+                vt = state.vt[slot] = _curve_inverse(state, "vc", slot, w)
+                heap_update2(state, parent.slot, slot, vt)
             else:
-                cls.virtual_curve = None
+                state.vc_on[slot] = 0
                 if (cls.is_leaf and cls.queue) or cls.nactive > 0:
                     self._activate_ls(cls)
         if new_ul is not cls.ul_spec:
@@ -712,14 +676,16 @@ class HFSC(Scheduler):
             elif old_ul is not None and new_ul is None:
                 self._ul_classes.discard(cls)
                 parent.ul_children -= 1
-            cls.ul_curve = None
-            cls.fit_time = 0.0
+            state.ul_on[slot] = 0
+            state.fit_time[slot] = 0.0
             if cls in self._ul_wait:
                 self._ul_wait.remove(cls)
             if new_ul is not None and cls.is_leaf and cls.queue:
-                cls.ul_curve = RuntimeCurve.from_spec(new_ul, now, cls.total_work)
-                cls.fit_time = cls.ul_curve.inverse(cls.total_work)
-                self._ul_wait.push(cls, cls.fit_time)
+                w = state.total_work[slot]
+                curve_set(state, "ul", slot, new_ul.m1, new_ul.d, new_ul.m2,
+                          now, w)
+                fit = state.fit_time[slot] = _curve_inverse(state, "ul", slot, w)
+                self._ul_wait.push(cls, fit)
         self._admission_checked = False
         if _TELEM.enabled:
             _TELEM.on_reconfig(now, "update-class", name)
@@ -735,10 +701,11 @@ class HFSC(Scheduler):
         be updated separately (``Link.set_rate``); the chaos injector does
         both together.
         """
-        if rate <= 0:
+        if not 0 < rate < math.inf:
             raise ReconfigurationError(
-                "link rate must be positive",
-                operation="set_link_rate", reason="non-positive-rate",
+                f"link rate must be positive and finite, got {rate!r}",
+                operation="set_link_rate",
+                reason="non-positive-rate" if rate <= 0 else "non-finite-rate",
             )
         self.link_rate = float(rate)
         self.root.ls_spec = ServiceCurve.linear(rate)
@@ -757,23 +724,23 @@ class HFSC(Scheduler):
         old virtual times so link-sharing stays monotonic across the
         rebuild.
         """
-        _flat.elig_clear(self._flat)
+        state = self._flat
+        _flat.elig_clear(state)
         self._ul_wait = IndexedHeap()
         self._snapshot_rows = {}
         packets = 0
         size = 0.0
         for cls in self._classes.values():
-            cls.active_min.clear()
-            cls.active_max.clear()
-            cls.nactive = 0
-            if cls.virtual_curve is not None:
-                cls.vt_watermark = max(cls.vt_watermark, cls.vt)
-            cls.ls_active = False
-            cls.deadline_curve = None
-            cls.eligible_curve = None
-            cls.virtual_curve = None
-            cls.ul_curve = None
-            cls.fit_time = 0.0
+            slot = cls.slot
+            _clear_heaps(state, slot)
+            state.nactive[slot] = 0
+            if state.vc_on[slot]:
+                state.vt_watermark[slot] = max(state.vt_watermark[slot],
+                                               state.vt[slot])
+            state.ls_active[slot] = 0
+            state.dc_on[slot] = state.ec_on[slot] = 0
+            state.vc_on[slot] = state.ul_on[slot] = 0
+            state.fit_time[slot] = 0.0
             if cls.is_leaf and not cls.is_root:
                 packets += len(cls.queue)
                 size += sum(p.size for p in cls.queue)
@@ -1023,8 +990,9 @@ class HFSC(Scheduler):
 
     def virtual_times(self, parent: Any = ROOT) -> Dict[Any, float]:
         """Virtual times of the active children of ``parent`` (analysis)."""
-        parent_cls = self._classes[parent]
-        return {child.name: child.vt for child in parent_cls.active_min}
+        state = self._flat
+        return {state.obj[slot].name: state.vt[slot]
+                for slot in state.hmin_slot[self._classes[parent].slot]}
 
     def work_of(self, name: Any) -> float:
         """Total link-sharing-tracked service of a class, in bytes."""
@@ -1079,7 +1047,7 @@ class HFSC(Scheduler):
                 )
                 if cls.ul_spec is not None:
                     in_wait = cls in self._ul_wait
-                    expect = cls.ul_curve is not None and bool(cls.queue)
+                    expect = bool(state.ul_on[slot]) and bool(cls.queue)
                     assert in_wait == expect, (
                         f"{cls.name!r}: _ul_wait membership inconsistent"
                     )
@@ -1092,11 +1060,14 @@ class HFSC(Scheduler):
             if cls.ls_spec is not None:
                 parent = cls.parent
                 assert parent is not None
-                in_heaps = cls in parent.active_min
-                assert in_heaps == cls.ls_active, (
-                    f"{cls.name!r}: heap membership != ls_active"
-                )
-                assert (cls in parent.active_max) == cls.ls_active
+                slot = cls.slot
+                for pos, heap in ((state.hmin_pos, state.hmin_slot[parent.slot]),
+                                  (state.hmax_pos, state.hmax_slot[parent.slot])):
+                    i = pos[slot]
+                    in_heap = 0 <= i < len(heap) and heap[i] == slot
+                    assert in_heap == cls.ls_active, (
+                        f"{cls.name!r}: heap membership != ls_active"
+                    )
                 if cls.ls_active and cls.is_leaf:
                     assert has_backlog, f"{cls.name!r}: active but empty"
         assert total_backlog_packets == self._backlog_packets
@@ -1320,6 +1291,7 @@ class HFSC(Scheduler):
                 f"snapshot carries an invalid configuration: {exc}",
                 reason="bad-config",
             ) from exc
+        state = sched._flat
         for cdoc in doc["classes"]:
             _require_keys(cdoc, cls._CLASS_DOC_KEYS, f"class {cdoc.get('name')!r}")
             try:
@@ -1343,10 +1315,10 @@ class HFSC(Scheduler):
             node.total_work = cdoc["total_work"]
             node.bytes_rt = cdoc["bytes_rt"]
             node.bytes_ls = cdoc["bytes_ls"]
-            node.deadline_curve = _rc_from(cdoc["deadline_curve"])
-            node.eligible_curve = _rc_from(cdoc["eligible_curve"])
-            node.virtual_curve = _rc_from(cdoc["virtual_curve"])
-            node.ul_curve = _rc_from(cdoc["ul_curve"])
+            _curve_from(state, "dc", node.slot, cdoc["deadline_curve"])
+            _curve_from(state, "ec", node.slot, cdoc["eligible_curve"])
+            _curve_from(state, "vc", node.slot, cdoc["virtual_curve"])
+            _curve_from(state, "ul", node.slot, cdoc["ul_curve"])
             node.eligible = cdoc["eligible"]
             node.deadline = cdoc["deadline"]
             node.vt = cdoc["vt"]
@@ -1423,6 +1395,7 @@ class HFSC(Scheduler):
             cdoc["name"]: cdoc["active_order"] for cdoc in doc["classes"]
         }
         order_by_parent[ROOT] = doc["root"]["active_order"]
+        state = self._flat
         for parent in self._classes.values():
             if not parent.children:
                 continue
@@ -1440,14 +1413,13 @@ class HFSC(Scheduler):
                         str(name) for name in expected)},
                 )
             for name in order:
-                child = self._classes[name]
-                if child.virtual_curve is None:
+                child = self._classes[name].slot
+                if not state.vc_on[child]:
                     raise SnapshotError(
                         f"active class {name!r} has no virtual curve",
                         reason="missing-curve",
                     )
-                parent.active_min.push(child, child.vt)
-                parent.active_max.push(child, -child.vt)
+                heap_push2(state, parent.slot, child, state.vt[child])
         for node in self.classes():
             node.ls_active = active[node]
         # The real-time eligible set: membership is fully derivable
@@ -1459,19 +1431,18 @@ class HFSC(Scheduler):
                 continue
             if not (self.realtime_enabled and node.rt_admitted and node.queue):
                 continue
-            if node.deadline_curve is None or node.eligible_curve is None:
+            if not (state.dc_on[node.slot] and state.ec_on[node.slot]):
                 raise SnapshotError(
                     f"eligible leaf {node.name!r} has no deadline/eligible "
                     "curve",
                     reason="missing-curve",
                 )
-            _flat.elig_insert(self._flat, node.slot, node.eligible,
-                              node.deadline)
+            _flat.elig_insert(state, node.slot, node.eligible, node.deadline)
         # Upper-limit wait heap, in the stored fit-time order.
         expected_wait = {
             node.name
             for node in self.classes()
-            if node.is_leaf and node.ul_curve is not None and node.queue
+            if node.is_leaf and state.ul_on[node.slot] and node.queue
         }
         order = doc["ul_wait_order"]
         if set(order) != expected_wait or len(order) != len(expected_wait):
@@ -1508,9 +1479,14 @@ class HFSC(Scheduler):
         byte-identical transform.
         """
         shifted = 0
+        state = self._flat
+        vt = state.vt
+        vc_on, vc_x0, vc_y0 = state.vc_on, state.vc_x0, state.vc_y0
+        vc_m1, vc_dx, vc_m2, vc_ky = state.vc_m1, state.vc_dx, state.vc_m2, state.vc_ky
         for parent in self._classes.values():
             if not parent.children:
                 continue
+            p = parent.slot
             # The shiftable floor is the minimum over the *live* domain
             # quantities (virtual times and curve anchors).  The idle
             # watermark is deliberately excluded while any child is live:
@@ -1522,35 +1498,51 @@ class HFSC(Scheduler):
             base = math.inf
             live = False
             for child in parent.children:
-                if child.virtual_curve is not None:
+                s = child.slot
+                if vc_on[s]:
                     live = True
                     # Fold the curve's dead history (below the live
                     # working point) into its anchor; a never-passive
                     # class otherwise pins x0 at the activation origin
-                    # and the domain could never shift.
-                    child.virtual_curve.rebase(child.vt)
-                    if child.vt < base:
-                        base = child.vt
-                    if child.virtual_curve.x0 < base:
-                        base = child.virtual_curve.x0
+                    # and the domain could never shift.  Values on
+                    # [vt, inf) are kept up to one float evaluation at
+                    # vt, hence "not digest-transparent" above.
+                    x = vt[s]
+                    step = x - vc_x0[s]
+                    if step > 0.0:
+                        dx = vc_dx[s]
+                        if step < dx:
+                            vc_y0[s] += vc_m1[s] * step
+                            vc_dx[s] = dx - step
+                        else:
+                            vc_y0[s] += vc_m1[s] * dx + vc_m2[s] * (step - dx)
+                            vc_m1[s] = vc_m2[s]
+                            vc_dx[s] = 0.0
+                        vc_x0[s] = x
+                        vc_ky[s] = NAN
+                    if x < base:
+                        base = x
+                    if vc_x0[s] < base:
+                        base = vc_x0[s]
             if not live:
-                base = parent.vt_watermark
+                base = state.vt_watermark[p]
             if not (base > 2.0) or not math.isfinite(base):
                 continue
             delta = 2.0 ** math.floor(math.log2(base))
             # Insertion order so exact-tie behaviour survives the rebuild
-            # (IndexedHeap.update keeps original sequence numbers).
-            order = list(parent.active_min.iter_insertion())
-            parent.active_min.clear()
-            parent.active_max.clear()
-            parent.vt_watermark = max(parent.vt_watermark - delta, 0.0)
+            # (a heap update keeps the original sequence number).
+            seqs, slots = state.hmin_seq[p], state.hmin_slot[p]
+            order = [slots[i] for i in sorted(range(len(seqs)), key=seqs.__getitem__)]
+            _clear_heaps(state, p)
+            state.vt_watermark[p] = max(state.vt_watermark[p] - delta, 0.0)
             for child in parent.children:
-                if child.virtual_curve is not None:
-                    child.vt -= delta
-                    child.virtual_curve.shift_x(-delta)
-            for child in order:
-                parent.active_min.push(child, child.vt)
-                parent.active_max.push(child, -child.vt)
+                s = child.slot
+                if vc_on[s]:
+                    vt[s] -= delta
+                    vc_x0[s] -= delta
+                    vc_ky[s] = NAN
+            for s in order:
+                heap_push2(state, p, s, vt[s])
             shifted += 1
         return shifted
 
@@ -1562,23 +1554,28 @@ class HFSC(Scheduler):
         (or a bug), which is what :class:`repro.sim.faults.DriftGuard`
         audits on long runs.
         """
+        state = self._flat
         worst = 0.0
         for parent in self._classes.values():
-            if parent.nactive >= 2:
-                spread = -parent.active_max.peek_key() - parent.active_min.peek_key()
+            p = parent.slot
+            if state.nactive[p] >= 2:
+                spread = -state.hmax_key[p][0] - state.hmin_key[p][0]
                 if spread > worst:
                     worst = spread
         return worst
 
     def max_vt_magnitude(self) -> float:
         """Largest |virtual time| in any domain (drift-guard trigger)."""
+        state = self._flat
+        vt, vc_on, watermark = state.vt, state.vc_on, state.vt_watermark
         worst = 0.0
         for parent in self._classes.values():
-            if parent.vt_watermark > worst:
-                worst = parent.vt_watermark
+            if watermark[parent.slot] > worst:
+                worst = watermark[parent.slot]
             for child in parent.children:
-                if child.virtual_curve is not None and child.vt > worst:
-                    worst = child.vt
+                s = child.slot
+                if vc_on[s] and vt[s] > worst:
+                    worst = vt[s]
         return worst
 
     # -- internals -------------------------------------------------------------
@@ -1709,12 +1706,13 @@ class HFSC(Scheduler):
                 cls.rt_admitted = True
                 self._reanchor_rt(cls, now)
         stripped = [cls for cls in rejected if cls.rt_admitted]
+        state = self._flat
         for cls in stripped:
+            slot = cls.slot
             cls.rt_admitted = False
-            if _flat.elig_contains(self._flat, cls.slot):
-                _flat.elig_remove(self._flat, cls.slot)
-            cls.deadline_curve = None
-            cls.eligible_curve = None
+            if _flat.elig_contains(state, slot):
+                _flat.elig_remove(state, slot)
+            state.dc_on[slot] = state.ec_on[slot] = 0
         if stripped:
             self._record_overload(
                 "reject",
@@ -1732,30 +1730,28 @@ class HFSC(Scheduler):
         state = self._flat
         slot = leaf.slot
         if not self._rt_tracked(leaf):
-            leaf.deadline_curve = None
-            leaf.eligible_curve = None
+            state.dc_on[slot] = state.ec_on[slot] = 0
             if _flat.elig_contains(state, slot):
                 _flat.elig_remove(state, slot)
             return
         if not leaf.queue:
             # Idle: nothing to schedule; _activate rebuilds from the new
             # spec when the next packet arrives.
-            leaf.deadline_curve = None
-            leaf.eligible_curve = None
+            state.dc_on[slot] = state.ec_on[slot] = 0
             return
         spec = leaf.rt_spec
-        leaf.deadline_curve = RuntimeCurve.from_spec(spec, now, leaf.cumul_rt)
-        leaf.eligible_curve = RuntimeCurve.from_spec(
-            eligible_spec(spec), now, leaf.cumul_rt
-        )
-        leaf.eligible = leaf.eligible_curve.inverse(leaf.cumul_rt)
-        leaf.deadline = leaf.deadline_curve.inverse(
-            leaf.cumul_rt + leaf.queue[0].size
+        es = eligible_spec(spec)
+        c = state.cumul_rt[slot]
+        curve_set(state, "dc", slot, spec.m1, spec.d, spec.m2, now, c)
+        curve_set(state, "ec", slot, es.m1, es.d, es.m2, now, c)
+        e = state.eligible[slot] = _curve_inverse(state, "ec", slot, c)
+        d = state.deadline[slot] = _curve_inverse(
+            state, "dc", slot, c + leaf.queue[0].size
         )
         if _flat.elig_contains(state, slot):
-            _flat.elig_update(state, slot, leaf.eligible, leaf.deadline)
+            _flat.elig_update(state, slot, e, d)
         else:
-            _flat.elig_insert(state, slot, leaf.eligible, leaf.deadline)
+            _flat.elig_insert(state, slot, e, d)
 
     def _record_overload(self, policy: str, now: Optional[float] = None,
                          **details: Any) -> None:
@@ -1801,12 +1797,13 @@ class HFSC(Scheduler):
         if cls in self._ul_classes:
             self._ul_classes.discard(cls)
             parent.ul_children -= 1
-        # Sever the back-reference: a removed class must not keep the tree
+        # Sever the back-references: a removed class must not keep the tree
         # alive or be mistaken for a live node by stale external handles.
+        # Its slot is recycled, so its numbers are gone: reading one fails
+        # rather than returning a cell another class may now own.
         cls.parent = None
-        # Recycle the shared slot; the class keeps its final values on a
-        # private one-slot state for any handles still held by callers.
-        cls._detach()
+        self._flat.free(cls.slot)
+        cls.state = None
 
     def _activate(self, leaf: HFSCClass, now: float) -> None:
         """Fig. 5(a) update_ed + Fig. 6 update_v on passive->active.
@@ -1843,9 +1840,9 @@ class HFSC(Scheduler):
         implementation sorted every sibling set on the way down, making
         each dequeue linear in the fan-out.  Here each level peeks the
         heap and falls back to a lazy in-order walk
-        (:meth:`IndexedHeap.iter_sorted`) only when the minimum is tied or
-        unfit, so the cost is O(log n) plus the number of skipped
-        children.
+        (:func:`~repro.core.flatstate.heap_iter_sorted`) only when the
+        minimum is tied or unfit, so the cost is O(log n) plus the number
+        of skipped children.
 
         Virtual-time ties are broken by class creation order
         (``HFSCClass.index``).  The original loop used ``id()``, i.e.

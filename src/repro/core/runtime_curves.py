@@ -179,60 +179,6 @@ class RuntimeCurve:
     def copy(self) -> "RuntimeCurve":
         return RuntimeCurve(self.x0, self.y0, self.m1, self.dx, self.m2)
 
-    def rebase(self, x: float) -> None:
-        """Advance the anchor to ``x`` (no-op for ``x <= x0``).
-
-        ``inverse`` is only ever evaluated at service levels at or above
-        the current cumulative service, so the curve's history below the
-        working point is dead weight -- but it pins ``x0`` at the
-        activation origin, which would forever block
-        :meth:`repro.core.hfsc.HFSC.renormalize_vt` for a class that
-        never goes passive.  Rebasing folds the dead prefix into the
-        anchor: values on ``[x, inf)`` are preserved (up to one float
-        evaluation at ``x``, which is why renormalization is documented
-        as not digest-transparent).
-        """
-        step = x - self.x0
-        if step <= 0.0:
-            return
-        if step < self.dx:
-            self.y0 += self.m1 * step
-            self.dx -= step
-        else:
-            self.y0 += self.m1 * self.dx + self.m2 * (step - self.dx)
-            self.m1 = self.m2
-            self.dx = 0.0
-        self.x0 = x
-        self._ky = None
-
-    def shift_x(self, delta: float) -> None:
-        """Translate the curve along the x axis (origin renormalization).
-
-        Used by :meth:`repro.core.hfsc.HFSC.renormalize_vt` to pull
-        virtual-time domains back toward zero before float precision
-        decays in very long runs; the memoized knee is invalidated so the
-        next ``inverse`` recomputes it from the shifted anchor.
-        """
-        self.x0 += delta
-        self._ky = None
-
-    def to_doc(self) -> Tuple[float, float, float, float, float]:
-        """The five anchored parameters -- the curve's entire state.
-
-        The knee memo is deliberately excluded: it is recomputed (to the
-        bit, same expressions) on the first ``inverse`` after a restore.
-        ``min_with`` accumulates history across active periods, so unlike
-        everything :meth:`repro.core.hfsc.HFSC.rebuild` reconstructs, a
-        runtime curve *must* be stored -- re-anchoring it fresh would
-        change deadlines and break byte-identical resume.
-        """
-        return (self.x0, self.y0, self.m1, self.dx, self.m2)
-
-    @classmethod
-    def from_doc(cls, doc) -> "RuntimeCurve":
-        x0, y0, m1, dx, m2 = doc
-        return cls(x0, y0, m1, dx, m2)
-
     def __repr__(self) -> str:
         return (
             f"RuntimeCurve(x0={self.x0:g}, y0={self.y0:g}, m1={self.m1:g}, "

@@ -28,6 +28,7 @@ sluggish convergence to the configured shares and coupled delay/bandwidth
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
@@ -133,8 +134,9 @@ class CBQScheduler(Scheduler):
     ) -> CBQClass:
         if name in self._classes:
             raise ConfigurationError(f"duplicate class name: {name!r}")
-        if rate <= 0:
-            raise ConfigurationError(f"class {name!r} needs a positive rate")
+        if not 0 < rate < math.inf:
+            raise ConfigurationError(
+                f"class {name!r} needs a positive, finite rate")
         try:
             parent_cls = self._classes[parent]
         except KeyError:

@@ -45,6 +45,7 @@ times, and trivially exact snapshots.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
@@ -145,8 +146,9 @@ class HLSScheduler(Scheduler):
     def add_class(self, name: Any, parent: Any = ROOT, rate: float = 0.0) -> HLSClass:
         if name in self._classes:
             raise ConfigurationError(f"duplicate class name: {name!r}")
-        if rate <= 0:
-            raise ConfigurationError(f"class {name!r} needs a positive rate")
+        if not 0 < rate < math.inf:
+            raise ConfigurationError(
+                f"class {name!r} needs a positive, finite rate")
         try:
             parent_cls = self._classes[parent]
         except KeyError:
@@ -173,9 +175,9 @@ class HLSScheduler(Scheduler):
         if cls.is_root:
             raise ReconfigurationError("cannot update the root class")
         if rate is not None:
-            if rate <= 0:
+            if not 0 < rate < math.inf:
                 raise ReconfigurationError(
-                    f"class {name!r} needs a positive rate"
+                    f"class {name!r} needs a positive, finite rate"
                 )
             cls.weight = float(rate)
             self._requantize(cls.parent)
@@ -190,8 +192,8 @@ class HLSScheduler(Scheduler):
         per-class state depends on the absolute rate; this only updates
         the bookkeeping the serving layer reads.
         """
-        if rate <= 0:
-            raise ReconfigurationError("link rate must be positive")
+        if not 0 < rate < math.inf:
+            raise ReconfigurationError("link rate must be positive and finite")
         self.link_rate = float(rate)
         self.root.weight = float(rate)
 

@@ -23,6 +23,7 @@ a subtree head), mirroring the deadline update of H-FSC's Fig. 5(b).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -119,8 +120,9 @@ class HPFQScheduler(Scheduler):
     def add_class(self, name: Any, parent: Any = ROOT, rate: float = 0.0) -> HPFQClass:
         if name in self._classes:
             raise ConfigurationError(f"duplicate class name: {name!r}")
-        if rate <= 0:
-            raise ConfigurationError(f"class {name!r} needs a positive rate")
+        if not 0 < rate < math.inf:
+            raise ConfigurationError(
+                f"class {name!r} needs a positive, finite rate")
         try:
             parent_cls = self._classes[parent]
         except KeyError:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -1555,9 +1556,14 @@ class ClusterControl:
     async def op_set_link_rate(self, request: Dict[str, Any]) -> Dict[str, Any]:
         mgr = self.manager
         self._require_all_available("set_link_rate")
-        rate = float(self._require(request, "rate"))
-        if rate <= 0:
-            raise ClusterError(f"link rate must be positive, got {rate!r}")
+        value = self._require(request, "rate")
+        try:
+            rate = float(value)
+        except (TypeError, ValueError):
+            rate = math.nan
+        if not 0 < rate < math.inf:
+            raise ClusterError(
+                f"link rate must be positive and finite, got {value!r}")
         per_shard = rate / mgr.shards
         old_per_shard = mgr.link_rate / mgr.shards
         async with mgr.mutation_lock:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro import __version__
@@ -228,6 +229,33 @@ class ControlServer:
             raise ControlError(f"op {request['op']!r} needs {key!r}")
         return request[key]
 
+    def _rate(self, request: Dict[str, Any], positive: bool = True) -> float:
+        """``request["rate"]`` as a finite float (> 0 unless not ``positive``).
+
+        Refused before anything changes: a NaN would pass every ``<= 0``
+        test downstream, and an infinite rate cannot build a curve.
+        """
+        value = self._require(request, "rate")
+        try:
+            rate = float(value)
+        except (TypeError, ValueError):
+            raise ControlError(f"rate must be a number, got {value!r}") from None
+        if not math.isfinite(rate) or (positive and rate <= 0):
+            raise ControlError(
+                f"rate must be {'positive and ' if positive else ''}finite, "
+                f"got {value!r}"
+            )
+        return rate
+
+    def _supporting(self, op: str) -> Any:
+        """The scheduler, if its backend implements ``op``."""
+        sched = self.service.scheduler
+        if not hasattr(sched, op):
+            raise ControlError(
+                f"backend {self.service.backend!r} does not support {op}"
+            )
+        return sched
+
     # -- read-only ops -------------------------------------------------------
 
     def op_ping(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -361,24 +389,26 @@ class ControlServer:
         name = self._require(request, "name")
         parent = request.get("parent")
         dry_run = bool(request.get("dry_run", False))
-        sched = svc.scheduler
+        sched = self._supporting("add_class")
         now = svc.driver.run_due()
         if isinstance(sched, HFSC):
             curves = self._parse_curves(request, allow_unchanged=False)
+            if all(curves[role] is None for role in ("sc", "rt_sc", "ls_sc")):
+                raise ControlError(f"class {name!r} needs a service curve")
             new_rt = curves["rt_sc"] if curves["sc"] is None else curves["sc"]
             self._check_rt_admission(name, new_rt)
             kwargs: Dict[str, Any] = dict(curves)
         else:
-            rate = self._require(request, "rate")
-            kwargs = {"rate": float(rate)}
+            kwargs = {"rate": self._rate(request)}
         if parent is not None:
             kwargs["parent"] = parent
         if dry_run:
             # The reserve phase of the cluster's two-phase admission:
-            # everything add_class would refuse is refused *now* (name
-            # collision, unknown parent, eq.(1) overbooking above),
-            # nothing is mutated.  Consistent because only the front-end
-            # issues mutations and it serializes reserve->commit.
+            # everything add_class would refuse is refused *now* (no
+            # curve or rate, name collision, unknown parent, eq.(1)
+            # overbooking above), nothing is mutated.  Consistent because
+            # only the front-end issues mutations and it serializes
+            # reserve->commit.
             classes = getattr(sched, "_classes", {})
             if name in classes:
                 raise ControlError(f"class {name!r} already exists")
@@ -390,24 +420,18 @@ class ControlServer:
 
     def op_update_class(self, request: Dict[str, Any]) -> Dict[str, Any]:
         svc = self.service
-        sched = svc.scheduler
         name = self._require(request, "name")
         dry_run = bool(request.get("dry_run", False))
+        sched = self._supporting("update_class")
         if not isinstance(sched, HFSC):
             # Rate-based backends (hls) reconfigure by weight, not curve.
-            if not hasattr(sched, "update_class"):
-                raise ControlError(
-                    f"backend {svc.backend!r} does not support update_class"
-                )
-            rate = float(self._require(request, "rate"))
+            rate = self._rate(request)
             classes = getattr(sched, "_classes", {})
             cls = classes.get(name)
             if cls is None:
                 raise ControlError(f"class {name!r} does not exist")
             if getattr(cls, "is_root", False):
                 raise ControlError("cannot update the root class")
-            if rate <= 0:
-                raise ControlError(f"rate must be positive, got {rate:g}")
             previous = {"rate": getattr(cls, "weight", None)}
             now = svc.driver.run_due()
             if dry_run:
@@ -416,15 +440,21 @@ class ControlServer:
             sched.update_class(name, now, rate=rate)
             return {"updated": name, "sim_clock": now, "previous": previous}
         curves = self._parse_curves(request, allow_unchanged=True)
-        if name not in sched._classes:
+        cls = sched._classes.get(name)
+        if cls is None:
             raise ControlError(f"class {name!r} does not exist")
-        if curves["sc"] is not UNCHANGED:
-            new_rt = curves["sc"]
-        elif curves["rt_sc"] is not UNCHANGED:
-            new_rt = curves["rt_sc"]
-        else:
-            cls = sched._classes.get(name)
-            new_rt = cls.rt_requested if cls is not None else None
+        if name == ROOT:
+            raise ControlError("cannot update the root class (use set_link_rate)")
+        sc = curves["sc"]
+        new_rt, new_ls = (
+            (sc, sc) if sc is not UNCHANGED else (curves["rt_sc"], curves["ls_sc"])
+        )
+        if new_rt is UNCHANGED:
+            new_rt = cls.rt_requested
+        if new_ls is UNCHANGED:
+            new_ls = cls.ls_spec
+        if new_rt is None and new_ls is None:
+            raise ControlError(f"class {name!r} needs a service curve")
         self._check_rt_admission(name, new_rt)
         previous = self._previous_curves(name)
         now = svc.driver.run_due()
@@ -440,15 +470,18 @@ class ControlServer:
         svc = self.service
         name = self._require(request, "name")
         force = bool(request.get("force", False))
+        sched = self._supporting("remove_class")
         now = svc.driver.run_due()
         if request.get("dry_run"):
-            # Reserve phase: existence (and, without ``force``, emptiness)
-            # is what the real removal would check; backlog can grow
-            # between reserve and commit, so force-less cluster removes
-            # stay best-effort -- documented in docs/SERVING.md.
-            classes = getattr(svc.scheduler, "_classes", {})
+            # Reserve phase: existence and "not the root" are what the
+            # real removal checks first; backlog can grow between reserve
+            # and commit, so force-less cluster removes stay best-effort
+            # -- documented in docs/SERVING.md.
+            classes = getattr(sched, "_classes", {})
             if name not in classes:
                 raise ControlError(f"class {name!r} does not exist")
+            if name == ROOT:
+                raise ControlError("cannot remove the root class")
             parent_obj = getattr(classes[name], "parent", None)
             parent = (
                 None
@@ -464,7 +497,7 @@ class ControlServer:
                 "parent": parent,
                 "previous": self._previous_curves(name),
             }
-        drained = svc.scheduler.remove_class(name, force=force)
+        drained = sched.remove_class(name, force=force)
         # Packets drained out of the scheduler never depart: release
         # their slice of the edge buffer and their reflect state.
         for packet in drained:
@@ -479,7 +512,7 @@ class ControlServer:
 
     def op_set_link_rate(self, request: Dict[str, Any]) -> Dict[str, Any]:
         svc = self.service
-        rate = float(self._require(request, "rate"))
+        rate = self._rate(request, positive=False)
         now = svc.driver.run_due()
         svc.link.set_rate(rate)
         if rate > 0 and hasattr(svc.scheduler, "set_link_rate"):

@@ -129,13 +129,15 @@ def test_ul_descent_matches_bruteforce_reference():
         # Reference: sort all active children by (vt, creation index) and
         # take the first fitting one -- the seed semantics with the
         # allocation-order tie-break made explicit.
+        state = sched._flat
         node = sched.root
         expected = None
         while node.children:
-            ranked = sorted(node.active_min, key=lambda c: (c.vt, c.index))
+            active = [state.obj[s] for s in state.hmin_slot[node.slot]]
+            ranked = sorted(active, key=lambda c: (c.vt, c.index))
             fit = [
                 c for c in ranked
-                if c.ul_curve is None or c.fit_time <= now
+                if not state.ul_on[c.slot] or c.fit_time <= now
             ]
             if not fit:
                 expected = None

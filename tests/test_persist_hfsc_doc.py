@@ -1,13 +1,14 @@
-"""``HFSC.snapshot_state`` against a document read through the façade.
+"""``HFSC.snapshot_state`` against a document read cell by cell.
 
-``snapshot_state`` reads every per-class number straight from the
-scheduler's flat columns.  The reference below builds the same
-document the slow way, through the ``HFSCClass`` properties
-(``CurveView`` curves, ``HeapView`` insertion order, the spec
-properties).  The two must agree key for key, value for value and JSON
-type for JSON type -- so the canonical checksum of a state does not
-depend on which of the two read it -- at several points of the golden
-H-FSC scenarios and of the overload policies.  Tier-1 runs on both the
+``snapshot_state`` builds each class row in one pass over the
+scheduler's flat columns, with a row memo for idle classes.  The
+reference below builds the same document the slow way: the scalar and
+spec properties of each ``HFSCClass``, plus the curve cells and the
+sibling-heap insertion order read from the columns by the helpers
+here.  The two must agree key for key, value for value and JSON type
+for JSON type -- so the canonical checksum of a state does not depend
+on which of the two read it -- at several points of the golden H-FSC
+scenarios and of the overload policies.  Tier-1 runs on both the
 compiled and the pure kernels (``REPRO_NO_COMPILED=1``), which covers
 both legs.
 """
@@ -36,16 +37,26 @@ def _spec(spec):
     return None if spec is None else [spec.m1, spec.d, spec.m2]
 
 
-def _curve(view):
-    return None if view is None else list(view.to_doc())
+def _curve(cls, kind):
+    """One runtime curve's five stored cells, or None when absent."""
+    state, slot = cls.state, cls.slot
+    if not getattr(state, f"{kind}_on")[slot]:
+        return None
+    return [getattr(state, f"{kind}_{field}")[slot]
+            for field in ("x0", "y0", "m1", "dx", "m2")]
 
 
 def _order(cls):
-    return [child.name for child in cls.active_min.iter_insertion()]
+    """Names of ``cls``'s active children in heap insertion order."""
+    state = cls.state
+    seqs = state.hmin_seq[cls.slot]
+    slots = state.hmin_slot[cls.slot]
+    return [state.obj[slots[i]].name
+            for i in sorted(range(len(seqs)), key=seqs.__getitem__)]
 
 
 def facade_doc(sched):
-    """``snapshot_state``'s document, per-class parts read via properties."""
+    """``snapshot_state``'s document, per-class parts read cell by cell."""
     doc = sched.snapshot_state(PacketTable().add)
     doc["classes"] = [{
         "name": cls.name,
@@ -61,10 +72,10 @@ def facade_doc(sched):
         "total_work": cls.total_work,
         "bytes_rt": cls.bytes_rt,
         "bytes_ls": cls.bytes_ls,
-        "deadline_curve": _curve(cls.deadline_curve),
-        "eligible_curve": _curve(cls.eligible_curve),
-        "virtual_curve": _curve(cls.virtual_curve),
-        "ul_curve": _curve(cls.ul_curve),
+        "deadline_curve": _curve(cls, "dc"),
+        "eligible_curve": _curve(cls, "ec"),
+        "virtual_curve": _curve(cls, "vc"),
+        "ul_curve": _curve(cls, "ul"),
         "eligible": cls.eligible,
         "deadline": cls.deadline,
         "vt": cls.vt,

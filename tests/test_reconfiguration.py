@@ -44,7 +44,7 @@ def test_update_class_rt_curve_while_backlogged():
     assert cls.rt_spec.m2 == 200.0
     assert cls.rt_requested.m2 == 200.0
     # Deadlines were re-anchored at the update time under the new slope.
-    assert cls.deadline_curve is not None
+    assert sched._flat.dc_on[cls.slot]
     while sched.dequeue(1.0) is not None:
         pass
     sched.check_invariants()
@@ -267,6 +267,15 @@ def test_set_link_rate_validates_and_invalidates_admission():
     sched.set_link_rate(2000.0)
     assert sched.link_rate == 2000.0
     assert sched.root.ls_spec.m2 == 2000.0
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -5.0])
+def test_set_link_rate_refuses_before_changing_anything(rate):
+    sched = _two_leaf()
+    with pytest.raises(ReconfigurationError):
+        sched.set_link_rate(rate)
+    assert sched.link_rate == 1000.0
+    assert sched.root.ls_spec.m2 == 1000.0
 
 
 def test_policy_raise_carries_structured_context():

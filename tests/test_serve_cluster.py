@@ -14,6 +14,7 @@ import asyncio
 import json
 import os
 import signal
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,7 +28,7 @@ from repro.persist.manifest import (
     shard_snapshot_name,
     write_manifest,
 )
-from repro.serve.cluster import ShardManager, shard_targets
+from repro.serve.cluster import ClusterControl, ShardManager, shard_targets
 from repro.serve.loadgen import LoadGenerator, run_load_cluster
 from repro.serve.shard import ShardRing, shard_control_path
 
@@ -325,6 +326,19 @@ class TestClusterE2E:
         response = asyncio.run(scenario())
         assert response["ok"], response
         assert response["result"]["blob"] == blob
+
+
+@pytest.mark.parametrize("text", ("NaN", "Infinity", "1e400", "-5", "0",
+                                  '"fast"', "null"))
+def test_front_end_refuses_bad_link_rate_before_fan_out(text):
+    # No shard behind the manager: a request that got past validation
+    # would fail on the missing fan-out machinery instead of answering.
+    manager = SimpleNamespace(supervisor=None, shards=2, link_rate=1000.0)
+    front = ClusterControl(manager)
+    line = '{"op": "set_link_rate", "rate": %s}' % text
+    reply = json.loads(asyncio.run(front.dispatch_line(line.encode())))
+    assert reply["ok"] is False
+    assert manager.link_rate == 1000.0
 
 
 class TestClusterSnapshotResume:

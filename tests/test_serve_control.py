@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.core.curves import ServiceCurve
+from repro.schedulers.registry import backend_names
 from repro.serve.control import ControlServer
 from repro.serve.hierarchy import hierarchy_preset
 from repro.serve.service import ServeService
@@ -270,6 +271,72 @@ class TestRateBackendReconfiguration:
         error = err(server, {"op": "update_class", "name": "gold",
                              "rate": 10.0})
         assert "does not support update_class" in error["message"]
+
+
+#: One valid request per reconfiguration op.  ``rate`` is what the
+#: rate-based backends read and ``ls_sc`` what H-FSC reads; each ignores
+#: the other.
+RECONFIG_REQUESTS = {
+    "add": {"op": "add_class", "name": "probe", "rate": 50.0, "ls_sc": 50.0},
+    "update": {"op": "update_class", "name": "bronze", "rate": 50.0,
+               "ls_sc": 50.0},
+    "remove": {"op": "remove_class", "name": "bronze"},
+}
+
+
+@pytest.mark.parametrize("op", sorted(RECONFIG_REQUESTS))
+@pytest.mark.parametrize("backend", backend_names())
+def test_reserve_and_commit_agree_on_every_backend(backend, op):
+    """Every backend answers both phases with a JSON object (an op it
+    lacks is refused, never a dropped connection), and on a fresh
+    service the reserve's verdict is the commit's."""
+    verdicts = {}
+    for dry_run in (True, False):
+        server = ControlServer(make_service(backend=backend))
+        line = json.dumps(dict(RECONFIG_REQUESTS[op], dry_run=dry_run))
+        reply = json.loads(server.dispatch_line(line.encode()))
+        assert isinstance(reply, dict) and isinstance(reply["ok"], bool)
+        verdicts[dry_run] = reply["ok"]
+    assert verdicts[True] == verdicts[False], verdicts
+
+
+@pytest.mark.parametrize("request_", [
+    {"op": "add_class", "name": "bare"},
+    {"op": "update_class", "name": "gold", "rt_sc": None, "ls_sc": None},
+    {"op": "update_class", "name": "gold", "sc": None},
+    {"op": "update_class", "name": "__root__", "ls_sc": 50.0},
+    {"op": "remove_class", "name": "__root__"},
+])
+def test_hfsc_reserve_refuses_what_commit_refuses(request_):
+    for dry_run in (True, False):
+        server = ControlServer(make_service())
+        assert err(server, dict(request_, dry_run=dry_run))
+
+
+@pytest.mark.parametrize("backend", ("hfsc", "hls"))
+@pytest.mark.parametrize("text", ("NaN", "Infinity", "1e400", "-5", '"fast"'))
+def test_bad_link_rate_changes_nothing(backend, text):
+    svc = make_service(backend=backend)
+    server = ControlServer(svc)
+    line = '{"op": "set_link_rate", "rate": %s}' % text
+    reply = json.loads(server.dispatch_line(line.encode()))
+    assert reply["ok"] is False
+    assert svc.link.rate == 1000.0
+    assert svc.scheduler.link_rate == 1000.0
+
+
+@pytest.mark.parametrize("text", ("NaN", "Infinity", "-5", '"fast"'))
+def test_rate_backend_refuses_bad_class_rates(text):
+    svc = make_service(backend="hls")
+    server = ControlServer(svc)
+    for line in ('{"op": "add_class", "name": "probe", "rate": %s}' % text,
+                 '{"op": "update_class", "name": "gold", "rate": %s}' % text):
+        for dry_run in ("true", "false"):
+            request = line[:-1] + ', "dry_run": %s}' % dry_run
+            assert json.loads(server.dispatch_line(request.encode()))["ok"] is False
+    rows = {r["name"]: r for r in ok(server, {"op": "classes"})}
+    assert set(rows) == {"gold", "bronze"}
+    assert rows["gold"]["rate"] == pytest.approx(600.0)
 
 
 class TestLifecycleOps:

@@ -23,8 +23,8 @@ from hypothesis.stateful import (
 )
 
 from repro.core.curves import ServiceCurve
+from repro.core.flatstate import curve_set
 from repro.core.hfsc import HFSC, ROOT
-from repro.core.runtime_curves import RuntimeCurve
 from repro.persist import codec
 from repro.persist.codec import (
     PacketTable, dumps_snapshot, loads_snapshot, restore_packets,
@@ -235,13 +235,14 @@ def mutations(sched, key):
     elif key in CURVE_KEYS:
         state, s = a.state, a.slot
         kind = CURVE_KEYS[key]
+        fields = ("x0", "y0", "m1", "dx", "m2")
         if not getattr(state, f"{kind}_on")[s]:
-            setattr(a, key, RuntimeCurve(1.0, 2.0, 3.0, 4.0, 5.0))
+            curve_set(state, kind, s, 3.0, 4.0, 5.0, 1.0, 2.0)
             yield "a", [1.0, 2.0, 3.0, 4.0, 5.0]
-        for field in ("x0", "y0", "m1", "dx", "m2"):
+        for field in fields:
             column = getattr(state, f"{kind}_{field}")
             column[s] = bumped(column[s])
-            yield "a", list(getattr(a, key).to_doc())
+            yield "a", [getattr(state, f"{kind}_{f}")[s] for f in fields]
         getattr(state, f"{kind}_on")[s] = 0
         yield "a", None
     else:
