@@ -15,6 +15,9 @@
  * The per-state list objects are looked up once and cached in a capsule
  * stored on the FlatState's ``_ccache`` slot (the lists live as long as
  * the state and are only ever mutated in place, never rebound).
+ *
+ * Every kernel that writes a slot's row cells stamps the slot with the
+ * current epoch (stamp_slot), exactly where the pure kernel does.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -43,6 +46,8 @@
     X(ulsp_m1) X(ulsp_d) X(ulsp_m2) X(ulsp_on) \
     /* structure */ \
     X(parent) X(nactive) X(ls_active) \
+    /* change stamps */ \
+    X(stamp) X(epoch) \
     /* sibling heaps */ \
     X(hmin_key) X(hmin_seq) X(hmin_slot) X(hmin_pos) X(hmin_ctr) \
     X(hmax_key) X(hmax_seq) X(hmax_slot) X(hmax_pos) X(hmax_ctr) \
@@ -173,6 +178,25 @@ static inline int set_l(PyObject *lst, Py_ssize_t i, long v)
     return 0;
 }
 
+/* The current epoch: the object in FlatState.epoch[0]. */
+static inline PyObject *current_epoch(StateCache *st)
+{
+    return PyList_GET_ITEM(st->a[A_epoch], 0);
+}
+
+/* Stamp ``slot``: store the epoch object itself into ``stamp[slot]`` (an
+ * incref, never an allocation).  Mirrors flatstate.touch; the walks fetch
+ * the stamp list and the epoch once per call. */
+static inline void stamp_slot(PyObject *stamp, Py_ssize_t slot, PyObject *epoch)
+{
+    PyObject *old = PyList_GET_ITEM(stamp, slot);
+    if (old != epoch) {
+        Py_INCREF(epoch);
+        PyList_SET_ITEM(stamp, slot, epoch);
+        Py_DECREF(old);
+    }
+}
+
 /* Remove the last element of a list, optionally stealing it (returns a
  * new reference when ``out`` is non-NULL). */
 static inline int list_pop_last(PyObject *lst, PyObject **out)
@@ -268,7 +292,9 @@ static void curve_min_with(StateCache *st, int base, Py_ssize_t slot,
     set_d(st->a[base + F_KY], slot, Py_NAN);
 }
 
-/* curve_set: RuntimeCurve.from_spec into the arrays + presence flag. */
+/* curve_set: RuntimeCurve.from_spec into the arrays + presence flag.
+ * Like curve_min_with it leaves the stamp to its caller, a kernel that
+ * stamps the slot it writes. */
 static void curve_set(StateCache *st, int base, int on_index, Py_ssize_t slot,
                       double m1, double d, double m2, double x, double y)
 {
@@ -490,6 +516,8 @@ static void activate_ls_impl(StateCache *st, long slot, long policy)
 {
     PyObject *parent = st->a[A_parent];
     PyObject *nactive = st->a[A_nactive];
+    PyObject *stamp = st->a[A_stamp];
+    PyObject *epoch = current_epoch(st);
     long s = slot;
     while (get_l(parent, s) >= 0) {
         long p = get_l(parent, s);
@@ -521,6 +549,7 @@ static void activate_ls_impl(StateCache *st, long slot, long policy)
         }
         double v = curve_inverse(st, CURVE_VC, s, w);
         set_d(st->a[A_vt], s, v);
+        stamp_slot(stamp, s, epoch);
         set_l(st->a[A_ls_active], s, 1);
         heap_push2(st, p, s, v);
         set_l(nactive, p, get_l(nactive, p) + 1);
@@ -540,8 +569,10 @@ static void passivate_ls_impl(StateCache *st, long slot)
         heap_remove2(st, p, s);
         set_l(nactive, p, get_l(nactive, p) - 1);
         double vs = get_d(st->a[A_vt], s);
-        if (vs > get_d(st->a[A_vt_watermark], p))
+        if (vs > get_d(st->a[A_vt_watermark], p)) {
             set_d(st->a[A_vt_watermark], p, vs);
+            stamp_slot(st->a[A_stamp], p, current_epoch(st));
+        }
         set_l(st->a[A_ls_active], s, 0);
         if (get_l(nactive, p) > 0 || get_l(parent, p) < 0)
             break;
@@ -582,6 +613,7 @@ static PyObject *py_passivate_ls(PyObject *self, PyObject *const *args, Py_ssize
 static int activate_impl(StateCache *st, long slot, double now,
                          int rt_tracked, double head_size, long policy)
 {
+    stamp_slot(st->a[A_stamp], slot, current_epoch(st));
     double c = get_d(st->a[A_cumul_rt], slot);
     if (rt_tracked) {
         if (!get_l(st->a[A_dc_on], slot)) {
@@ -627,6 +659,10 @@ static int serve_commit_impl(StateCache *st, long slot, double size,
                              int realtime, int rt_tracked, int backlogged,
                              double next_size)
 {
+    /* The walk stamps every level it writes, ``slot`` first; without a
+     * link-sharing curve only ``slot`` is written. */
+    PyObject *stamp = st->a[A_stamp];
+    PyObject *epoch = current_epoch(st);
     if (realtime) {
         set_d(st->a[A_cumul_rt], slot, get_d(st->a[A_cumul_rt], slot) + size);
         set_d(st->a[A_bytes_rt], slot, get_d(st->a[A_bytes_rt], slot) + size);
@@ -642,6 +678,7 @@ static int serve_commit_impl(StateCache *st, long slot, double size,
         int dying = !backlogged;
         for (;;) {
             long p = get_l(parent, s);
+            stamp_slot(stamp, s, epoch);
             if (p < 0) {
                 set_d(total_work, s, get_d(total_work, s) + size);
                 break;
@@ -658,6 +695,7 @@ static int serve_commit_impl(StateCache *st, long slot, double size,
         }
     }
     else {
+        stamp_slot(stamp, slot, epoch);
         set_d(total_work, slot, get_d(total_work, slot) + size);
     }
     if (get_l(st->a[A_ul_on], slot)) {

@@ -38,6 +38,15 @@ object façade in :mod:`repro.core.hfsc` keeps scalar properties over
 single cells for measurement code; its cold paths (reconfiguration,
 rebuild, restore, renormalization) use the same curve, heap and
 eligible-set functions as the kernels, so there is one way in.
+
+Change stamps.  Every writer of a slot's *row cells* -- the cells a
+snapshot row is made of: ``index``, ``rt_adm``, the nine scalars and the
+``on/x0/y0/m1/dx/m2`` cells of the four curves -- also stores the
+current epoch, ``epoch[0]``, into ``stamp[slot]`` (:func:`touch`).  The
+snapshot advances the epoch once per call, so a row encoded at epoch
+``E`` is still exact while ``stamp[slot] <= E``.  The writer stores the
+epoch *object* itself, so a stamp costs no allocation; the knee memos
+(``*_kx`` / ``*_ky``) are not row cells and never stamp.
 """
 
 from __future__ import annotations
@@ -94,6 +103,9 @@ class FlatState:
         "ulsp_m1", "ulsp_d", "ulsp_m2", "ulsp_on",
         # structure
         "parent", "index", "nactive", "ul_children", "ls_active", "rt_adm",
+        # change stamps: per-slot epoch of the last row-cell write, and
+        # the current epoch (one cell, advanced by the snapshot)
+        "stamp", "epoch",
         # per-parent flat heaps (min over vt / max over -vt)
         "hmin_key", "hmin_seq", "hmin_slot", "hmin_pos", "hmin_ctr",
         "hmax_key", "hmax_seq", "hmax_slot", "hmax_pos", "hmax_ctr",
@@ -128,6 +140,8 @@ class FlatState:
         self.ul_children: List[int] = []
         self.ls_active: List[int] = []
         self.rt_adm: List[int] = []
+        self.stamp: List[int] = []
+        self.epoch: List[int] = [0]
         self.hmin_key: List[List[float]] = []
         self.hmin_seq: List[List[int]] = []
         self.hmin_slot: List[List[int]] = []
@@ -183,6 +197,7 @@ class FlatState:
         self.ul_children.extend(zeros_l)
         self.ls_active.extend(zeros_b)
         self.rt_adm.extend(zeros_b)
+        self.stamp.extend(zeros_l)
         self.hmin_pos.extend(minus_l)
         self.hmin_ctr.extend(zeros_l)
         self.hmax_pos.extend(minus_l)
@@ -236,6 +251,7 @@ class FlatState:
         self.ul_children[slot] = 0
         self.ls_active[slot] = 0
         self.rt_adm[slot] = 1
+        self.stamp[slot] = self.epoch[0]
         self.hmin_key[slot].clear()
         self.hmin_seq[slot].clear()
         self.hmin_slot[slot].clear()
@@ -250,6 +266,16 @@ class FlatState:
         self.req_d[slot] = 0.0
         self.efut_pos[slot] = -1
         self.erdy_pos[slot] = -1
+
+
+def touch(state: FlatState, slot: int) -> None:
+    """Stamp ``slot``: its row cells were written in the current epoch.
+
+    Cold paths call this beside their direct cell writes; the kernels
+    inline it.
+    """
+    state.stamp[slot] = state.epoch[0]
+
 
 # -- flat curve kernels (pure Python; the C fast path mirrors these) --------
 #
@@ -297,7 +323,10 @@ def curve_min_with(
     x0a, y0a, m1a, dxa, m2a, kya,
     slot: int, sm1: float, sd: float, sm2: float, x: float, y: float,
 ) -> None:
-    """RuntimeCurve.min_with over array cells; spec passed as floats."""
+    """RuntimeCurve.min_with over array cells; spec passed as floats.
+
+    It sees columns, not the state, so its callers stamp ``slot``.
+    """
     y_here = curve_value(x0a, y0a, m1a, dxa, m2a, slot, x)
     if sm1 <= sm2:
         if y_here < y:
@@ -334,7 +363,7 @@ def curve_min_with(
 
 def curve_set(state: FlatState, kind: str, slot: int,
               m1: float, d: float, m2: float, x: float, y: float) -> None:
-    """RuntimeCurve.from_spec into the arrays (cold path)."""
+    """RuntimeCurve.from_spec into the arrays (stamps ``slot``)."""
     getattr(state, f"{kind}_x0")[slot] = x
     getattr(state, f"{kind}_y0")[slot] = y
     getattr(state, f"{kind}_m1")[slot] = m1
@@ -342,6 +371,13 @@ def curve_set(state: FlatState, kind: str, slot: int,
     getattr(state, f"{kind}_m2")[slot] = m2
     getattr(state, f"{kind}_ky")[slot] = NAN
     getattr(state, f"{kind}_on")[slot] = 1
+    state.stamp[slot] = state.epoch[0]
+
+
+def curve_clear(state: FlatState, kind: str, slot: int) -> None:
+    """Drop one kind's curve (its cells stay, unread; stamps ``slot``)."""
+    getattr(state, f"{kind}_on")[slot] = 0
+    state.stamp[slot] = state.epoch[0]
 
 
 # -- flat sibling heaps ------------------------------------------------------
@@ -764,6 +800,8 @@ def activate_ls(state: FlatState, slot: int, policy: int) -> None:
     total_work = state.total_work
     ls_active = state.ls_active
     watermark = state.vt_watermark
+    stamp = state.stamp
+    epoch = state.epoch[0]
     s = slot
     while parent[s] >= 0:
         p = parent[s]
@@ -794,6 +832,7 @@ def activate_ls(state: FlatState, slot: int, policy: int) -> None:
                            pvt, w)
         v = curve_inverse(vc_x0, vc_y0, vc_m1, vc_dx, vc_m2, vc_kx, vc_ky, s, w)
         vt[s] = v
+        stamp[s] = epoch
         ls_active[s] = 1
         heap_push2(state, p, s, v)
         nactive[p] += 1
@@ -815,6 +854,7 @@ def passivate_ls(state: FlatState, slot: int) -> None:
         nactive[p] -= 1
         if vt[s] > watermark[p]:
             watermark[p] = vt[s]
+            state.stamp[p] = state.epoch[0]
         state.ls_active[s] = 0
         if nactive[p] > 0 or parent[p] < 0:
             break
@@ -829,6 +869,7 @@ def activate_step(state: FlatState, slot: int, now: float, rt_tracked: bool,
     The upper-limit wait-heap push stays in the shell (that heap holds
     façade objects); it reads the freshly written ``fit_time`` cell.
     """
+    state.stamp[slot] = state.epoch[0]
     c = state.cumul_rt[slot]
     if rt_tracked:
         if not state.dc_on[slot]:
@@ -882,6 +923,10 @@ def serve_step(state: FlatState, slot: int, size: float, realtime: bool,
     request drop and the link-sharing passivation walk.  The shell
     updates the ul-wait heap after this call (it holds façade objects).
     """
+    # The walk stamps every level it writes, ``slot`` first; without a
+    # link-sharing curve only ``slot`` is written.
+    stamp = state.stamp
+    epoch = state.epoch[0]
     if realtime:
         state.cumul_rt[slot] += size
         state.bytes_rt[slot] += size
@@ -903,6 +948,7 @@ def serve_step(state: FlatState, slot: int, size: float, realtime: bool,
         dying = not backlogged
         while True:
             p = parent[s]
+            stamp[s] = epoch
             if p < 0:
                 total_work[s] += size
                 break
@@ -932,6 +978,7 @@ def serve_step(state: FlatState, slot: int, size: float, realtime: bool,
                 heap_update2(state, p, s, v)
             s = p
     else:
+        stamp[slot] = epoch
         total_work[slot] += size
     if state.ul_on[slot]:
         state.fit_time[slot] = curve_inverse(

@@ -55,20 +55,20 @@ from repro.core.flatstate import (
     CURVE_FIELDS,
     NAN,
     FlatState,
+    curve_clear,
     curve_inverse,
     curve_set,
     heap_iter_sorted,
     heap_push2,
     heap_update2,
+    touch,
 )
 from repro.core.runtime_curves import eligible_spec
 from repro.obs.core import TELEMETRY as _TELEM
 from repro.schedulers.base import Scheduler
 from repro.sim.packet import Packet
 from repro.util.heap import IndexedHeap
-from repro.util.rowmemo import (
-    EncodedRows, FrozenRow, canonical_text, same_objects,
-)
+from repro.util.rowmemo import EncodedRows, FrozenRow, canonical_text
 
 ROOT = "__root__"
 
@@ -177,25 +177,29 @@ def _require_keys(doc: Any, keys: Iterable[Any], what: str) -> None:
 
 
 def _scalar_prop(arr_name: str, doc: str):
-    """Read/write property over a per-slot float or int array cell."""
+    """Read/write property over a per-slot float or int array cell
+    (a write stamps the slot)."""
 
     def fget(self):
         return getattr(self.state, arr_name)[self.slot]
 
     def fset(self, value):
         getattr(self.state, arr_name)[self.slot] = value
+        touch(self.state, self.slot)
 
     return property(fget, fset, doc=doc)
 
 
 def _flag_prop(arr_name: str, doc: str):
-    """Read/write bool property over a per-slot byte array cell."""
+    """Read/write bool property over a per-slot byte array cell
+    (a write stamps the slot)."""
 
     def fget(self):
         return bool(getattr(self.state, arr_name)[self.slot])
 
     def fset(self, value):
         getattr(self.state, arr_name)[self.slot] = 1 if value else 0
+        touch(self.state, self.slot)
 
     return property(fget, fset, doc=doc)
 
@@ -464,8 +468,9 @@ class HFSC(Scheduler):
         # next_ready_time() needs the earliest future fit rather than a
         # scan of every upper-limited class.
         self._ul_wait: IndexedHeap[HFSCClass] = IndexedHeap()
-        #: name -> (memo key, read-only row, its canonical text) for the
-        #: idle rows of the last :meth:`snapshot_state`.
+        #: class -> (epoch encoded at, name, parent's name, the four spec
+        #: objects, read-only row, its canonical text) for the idle rows
+        #: of the last :meth:`snapshot_state`.
         self._snapshot_rows: Dict[Any, Any] = {}
 
     # -- hierarchy construction ---------------------------------------------
@@ -489,8 +494,7 @@ class HFSC(Scheduler):
         """
         if name in self._classes:
             raise ConfigurationError(f"duplicate class name: {name!r}")
-        if sc is not None and (rt_sc is not None or ls_sc is not None):
-            raise ConfigurationError("pass either sc or rt_sc/ls_sc, not both")
+        self.check_request("add_class", name, sc, rt_sc, ls_sc, parent)
         if sc is not None:
             rt_sc, ls_sc = sc, sc
         if rt_sc is None and ls_sc is None:
@@ -499,11 +503,6 @@ class HFSC(Scheduler):
             parent_cls = self._classes[parent]
         except KeyError:
             raise ConfigurationError(f"unknown parent class: {parent!r}") from None
-        if parent_cls.rt_spec is not None:
-            raise ConfigurationError(
-                f"cannot add child to {parent!r}: it has a real-time curve "
-                "(real-time service applies to leaf classes only)"
-            )
         if parent_cls.queue:
             raise ConfigurationError(
                 f"cannot add child to {parent!r}: it has queued packets"
@@ -606,12 +605,8 @@ class HFSC(Scheduler):
                 f"unknown class: {name!r}",
                 operation="update_class", class_id=name, reason="unknown-class",
             ) from None
+        self.check_request("update_class", name, sc, rt_sc, ls_sc)
         if sc is not UNCHANGED:
-            if rt_sc is not UNCHANGED or ls_sc is not UNCHANGED:
-                raise ReconfigurationError(
-                    "pass either sc or rt_sc/ls_sc, not both",
-                    operation="update_class", class_id=name, reason="ambiguous-curves",
-                )
             rt_sc, ls_sc = sc, sc
         state = self._flat
         slot = cls.slot
@@ -644,7 +639,8 @@ class HFSC(Scheduler):
             if new_rt is None:
                 if _flat.elig_contains(state, slot):
                     _flat.elig_remove(state, slot)
-                state.dc_on[slot] = state.ec_on[slot] = 0
+                curve_clear(state, "dc", slot)
+                curve_clear(state, "ec", slot)
             else:
                 self._reanchor_rt(cls, now)
         if new_ls is not cls.ls_spec:
@@ -652,7 +648,7 @@ class HFSC(Scheduler):
             if new_ls is None:
                 if cls.ls_active:
                     self._passivate_ls(cls)
-                state.vc_on[slot] = 0
+                curve_clear(state, "vc", slot)
             elif cls.ls_active:
                 parent = cls.parent
                 assert parent is not None
@@ -662,7 +658,7 @@ class HFSC(Scheduler):
                 vt = state.vt[slot] = _curve_inverse(state, "vc", slot, w)
                 heap_update2(state, parent.slot, slot, vt)
             else:
-                state.vc_on[slot] = 0
+                curve_clear(state, "vc", slot)
                 if (cls.is_leaf and cls.queue) or cls.nactive > 0:
                     self._activate_ls(cls)
         if new_ul is not cls.ul_spec:
@@ -676,7 +672,7 @@ class HFSC(Scheduler):
             elif old_ul is not None and new_ul is None:
                 self._ul_classes.discard(cls)
                 parent.ul_children -= 1
-            state.ul_on[slot] = 0
+            curve_clear(state, "ul", slot)
             state.fit_time[slot] = 0.0
             if cls in self._ul_wait:
                 self._ul_wait.remove(cls)
@@ -690,6 +686,33 @@ class HFSC(Scheduler):
         if _TELEM.enabled:
             _TELEM.on_reconfig(now, "update-class", name)
         return cls
+
+    def check_request(self, op: str, name: Any, sc: Any, rt_sc: Any,
+                      ls_sc: Any, parent: Any = ROOT) -> None:
+        """Refuse an ``add_class`` / ``update_class`` request by its shape.
+
+        Refused: ``sc`` beside ``rt_sc`` or ``ls_sc``; for ``add_class``,
+        a child under an existing class with a real-time curve (real-time
+        service applies to leaves only).  An absent curve is None for
+        ``add_class`` and :data:`UNCHANGED` for ``update_class``.  Both
+        methods call this, and so does the control plane's reserve
+        phase, so the reserve refuses what the commit refuses.
+        """
+        add = op == "add_class"
+        absent = None if add else UNCHANGED
+        if sc is not absent and (rt_sc is not absent or ls_sc is not absent):
+            message = "pass either sc or rt_sc/ls_sc, not both"
+            if add:
+                raise ConfigurationError(message)
+            raise ReconfigurationError(
+                message, operation=op, class_id=name, reason="ambiguous-curves",
+            )
+        parent_cls = self._classes.get(parent) if add else None
+        if parent_cls is not None and parent_cls.rt_spec is not None:
+            raise ConfigurationError(
+                f"cannot add child to {parent!r}: it has a real-time curve "
+                "(real-time service applies to leaf classes only)"
+            )
 
     def set_link_rate(self, rate: float) -> None:
         """Change the output capacity live (rate flap / renegotiation).
@@ -727,11 +750,11 @@ class HFSC(Scheduler):
         state = self._flat
         _flat.elig_clear(state)
         self._ul_wait = IndexedHeap()
-        self._snapshot_rows = {}
         packets = 0
         size = 0.0
         for cls in self._classes.values():
             slot = cls.slot
+            touch(state, slot)
             _clear_heaps(state, slot)
             state.nactive[slot] = 0
             if state.vc_on[slot]:
@@ -1098,12 +1121,16 @@ class HFSC(Scheduler):
         (the document is the one the ``HFSCClass`` properties would
         give, value for value).
 
-        An idle class's row is a pure function of the objects in its
-        memo key, so it is built and encoded once and then reused
-        (read-only, see :mod:`repro.util.rowmemo`) until one of them is
-        no longer the same object.  A class with queued packets or
-        active children is rebuilt every time: its ``queue`` interns
-        packets and its ``active_order`` follows the heap.
+        An idle class's row is a function of its slot's row cells and a
+        few objects (the class, its name, its parent's name and its four
+        spec objects), so it is built and encoded once and then reused
+        (read-only, see :mod:`repro.util.rowmemo`) while the slot's
+        change stamp is no later than the epoch the row was encoded at
+        and those objects are the same objects.  Each call advances the
+        epoch once; this method and the other read paths stamp nothing.
+        A class with queued packets or active children is rebuilt every
+        time: its ``queue`` interns packets and its ``active_order``
+        follows the heap.
         """
         state = self._flat
         obj = state.obj
@@ -1118,10 +1145,6 @@ class HFSC(Scheduler):
                   ("on", "x0", "y0", "m1", "dx", "m2"))
             for kind in ("dc", "ec", "vc", "ul")
         )
-        dc_on, dc_x0, dc_y0, dc_m1, dc_dx, dc_m2 = dc
-        ec_on, ec_x0, ec_y0, ec_m1, ec_dx, ec_m2 = ec
-        vc_on, vc_x0, vc_y0, vc_m1, vc_dx, vc_m2 = vc
-        ul_on, ul_x0, ul_y0, ul_m1, ul_dx, ul_m2 = ul
 
         def curve_doc(columns, s, seq):
             on, x0, y0, m1, dx, m2 = columns
@@ -1164,6 +1187,11 @@ class HFSC(Scheduler):
                 "active_order": order,
             }
 
+        stamp = state.stamp
+        epoch = state.epoch
+        encoded_at = epoch[0]
+        # Any write from here on stamps a later epoch than this call's.
+        epoch[0] = encoded_at + 1
         memo = self._snapshot_rows
         fresh: Dict[Any, Any] = {}
         rows: List[Dict[str, Any]] = []
@@ -1185,25 +1213,24 @@ class HFSC(Scheduler):
                                 active_order(s), list))
                 texts.append(None)
                 continue
-            # Every object the row is built from (spelled out: the
-            # tuple display is the cheapest way to gather them).
-            key = (name, parent.name, index[s], cls.rt_requested,
-                   cls._rt_spec, cls._ls_spec, cls._ul_spec, rt_adm[s],
-                   cumul_rt[s], total_work[s], bytes_rt[s], bytes_ls[s],
-                   eligible[s], deadline[s], vt[s], fit_time[s],
-                   vt_watermark[s],
-                   dc_on[s], dc_x0[s], dc_y0[s], dc_m1[s], dc_dx[s], dc_m2[s],
-                   ec_on[s], ec_x0[s], ec_y0[s], ec_m1[s], ec_dx[s], ec_m2[s],
-                   vc_on[s], vc_x0[s], vc_y0[s], vc_m1[s], vc_dx[s], vc_m2[s],
-                   ul_on[s], ul_x0[s], ul_y0[s], ul_m1[s], ul_dx[s], ul_m2[s])
-            entry = memo.get(name)
-            if entry is None or not same_objects(entry[0], key):
+            # The slot's stamp covers the row's cells; the objects
+            # outside the columns are compared by identity, spelled out
+            # (a call per row would cost as much as the rest of the loop).
+            entry = memo.get(cls)
+            if (entry is None or stamp[s] > entry[0] or entry[1] is not name
+                    or entry[2] is not parent.name
+                    or entry[3] is not cls.rt_requested
+                    or entry[4] is not cls._rt_spec
+                    or entry[5] is not cls._ls_spec
+                    or entry[6] is not cls._ul_spec):
                 doc = FrozenRow(row(cls, s, (), (), tuple))
-                entry = (key, doc, canonical_text(doc))
+                entry = (encoded_at, name, parent.name, cls.rt_requested,
+                         cls._rt_spec, cls._ls_spec, cls._ul_spec,
+                         doc, canonical_text(doc))
             # Rebuilt every call, so removed classes drop out.
-            fresh[name] = entry
-            rows.append(entry[1])
-            texts.append(entry[2])
+            fresh[cls] = entry
+            rows.append(entry[7])
+            texts.append(entry[8])
         self._snapshot_rows = fresh
         classes = EncodedRows(rows, texts)
         root = self.root.slot
@@ -1510,6 +1537,7 @@ class HFSC(Scheduler):
                     x = vt[s]
                     step = x - vc_x0[s]
                     if step > 0.0:
+                        touch(state, s)
                         dx = vc_dx[s]
                         if step < dx:
                             vc_y0[s] += vc_m1[s] * step
@@ -1535,9 +1563,11 @@ class HFSC(Scheduler):
             order = [slots[i] for i in sorted(range(len(seqs)), key=seqs.__getitem__)]
             _clear_heaps(state, p)
             state.vt_watermark[p] = max(state.vt_watermark[p] - delta, 0.0)
+            touch(state, p)
             for child in parent.children:
                 s = child.slot
                 if vc_on[s]:
+                    touch(state, s)
                     vt[s] -= delta
                     vc_x0[s] -= delta
                     vc_ky[s] = NAN
@@ -1712,7 +1742,8 @@ class HFSC(Scheduler):
             cls.rt_admitted = False
             if _flat.elig_contains(state, slot):
                 _flat.elig_remove(state, slot)
-            state.dc_on[slot] = state.ec_on[slot] = 0
+            curve_clear(state, "dc", slot)
+            curve_clear(state, "ec", slot)
         if stripped:
             self._record_overload(
                 "reject",
@@ -1730,14 +1761,16 @@ class HFSC(Scheduler):
         state = self._flat
         slot = leaf.slot
         if not self._rt_tracked(leaf):
-            state.dc_on[slot] = state.ec_on[slot] = 0
+            curve_clear(state, "dc", slot)
+            curve_clear(state, "ec", slot)
             if _flat.elig_contains(state, slot):
                 _flat.elig_remove(state, slot)
             return
         if not leaf.queue:
             # Idle: nothing to schedule; _activate rebuilds from the new
             # spec when the next packet arrives.
-            state.dc_on[slot] = state.ec_on[slot] = 0
+            curve_clear(state, "dc", slot)
+            curve_clear(state, "ec", slot)
             return
         spec = leaf.rt_spec
         es = eligible_spec(spec)

@@ -414,6 +414,10 @@ class ControlServer:
                 raise ControlError(f"class {name!r} already exists")
             if parent is not None and parent not in classes:
                 raise ControlError(f"parent class {parent!r} does not exist")
+            if isinstance(sched, HFSC):
+                sched.check_request("add_class", name, kwargs["sc"],
+                                    kwargs["rt_sc"], kwargs["ls_sc"],
+                                    kwargs.get("parent", ROOT))
             return {"reserved": name, "sim_clock": now}
         sched.add_class(name, **kwargs)
         return {"added": name, "sim_clock": now}
@@ -459,9 +463,11 @@ class ControlServer:
         previous = self._previous_curves(name)
         now = svc.driver.run_due()
         if dry_run:
-            # Reserve phase: admission + existence checked, nothing
-            # mutated.  ``previous`` lets the front-end restore this
-            # shard exactly if a later shard's commit fails.
+            # Reserve phase: admission, existence and the request's shape
+            # checked, nothing mutated.  ``previous`` lets the front-end
+            # restore this shard exactly if a later shard's commit fails.
+            sched.check_request("update_class", name, sc, curves["rt_sc"],
+                                curves["ls_sc"])
             return {"reserved": name, "sim_clock": now, "previous": previous}
         sched.update_class(name, now, **curves)
         return {"updated": name, "sim_clock": now, "previous": previous}

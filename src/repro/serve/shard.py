@@ -4,14 +4,20 @@ Horizontal scale-out for ``repro serve``: one scheduler core saturates
 around the compiled fast path's per-process throughput, so the cluster
 runs N independent workers -- each a full :class:`ServeService` (Link +
 scheduler + Watchdog + RunContext) on its own sockets -- and pins every
-*flow* to exactly one worker.  Per-flow pinning is what keeps the
-paper's guarantees intact under partitioning: a flow's packets meet one
-scheduler, in order, so its service-curve guarantee and its position in
-the link-sharing hierarchy are exactly the single-link story (per-flow
-service-curve bounds survive partitioning; see PAPERS.md,
-arXiv:1804.08034).  Every shard runs the *same* hierarchy at ``1/N`` of
-the aggregate link rate, so per-shard fairness composes into the same
-aggregate max-min shares (arXiv:1010.3142).
+*flow* to exactly one worker, so a flow's packets meet one scheduler, in
+order.  Every shard runs the *same* hierarchy at ``1/N`` of the
+aggregate link rate, so the per-shard eq. (1) check holds iff the
+aggregate one does, and per-shard fairness gives each class its
+fractional share of every shard (arXiv:1010.3142).
+
+Service-curve bounds do *not* survive this partitioning.  A shard
+serves a class ``1/N`` of its curve on a ``1/N``-speed link, so its
+Theorem 2 bound grows N-fold even when its traffic splits evenly
+(``campus``'s ``cmu.audio``: 4.08 ms at N = 1, 8.16 ms at N = 2, 16.32 ms
+at N = 4, by :func:`repro.analysis.delay.hfsc_delay_bound`), and it is
+infinite when one flow carries the class's whole rate, since flows are
+placed by name hash, not by class.  ROADMAP item 20 (class-affine
+placement of real-time leaves) is the fix.
 
 The placement function is a **consistent-hash ring**
 (:class:`ShardRing`):

@@ -1,12 +1,22 @@
-"""Identity-keyed row memos: re-encode a row only when its inputs change.
+"""Row memos: re-encode a row only when its inputs change.
 
 Two JSON producers re-encode mostly unchanged rows on every call: the
-control plane's ``classes`` reply and the scheduler snapshot.  Both keep,
-per row, the tuple of objects the row was built from and reuse the text
-while every element is still the *same object* (:func:`same_objects`).
+control plane's ``classes`` reply and the scheduler snapshot.  Both keep
+each row's text and reuse it while the row's inputs are unchanged:
+
+* ``classes`` keeps the tuple of objects the row was built from and
+  reuses the text while every element is still the *same object*
+  (:func:`same_objects`).
+* The snapshot (``HFSC.snapshot_state``) reads most of a row from the
+  flat class columns, whose writers stamp the slot with the current
+  epoch; it reuses the text while the slot's stamp is no later than the
+  epoch the row was encoded at, and compares only the few objects
+  outside the columns (the class, its name, its parent's name, its spec
+  objects) by identity, inline.
+
 Identity, not equality, because equal values can print differently
-(``1 == 1.0``, ``0.0 == -0.0``); and because the memo holds the key, no
-object in it can be freed and its ``id`` reused.
+(``1 == 1.0``, ``0.0 == -0.0``); and because the memo holds the objects,
+none of them can be freed and its ``id`` reused.
 
 The snapshot side hands its rows out inside the returned document, so
 they are read-only: :class:`FrozenRow` refuses in-place edits, and

@@ -306,6 +306,8 @@ def test_reserve_and_commit_agree_on_every_backend(backend, op):
     {"op": "update_class", "name": "gold", "sc": None},
     {"op": "update_class", "name": "__root__", "ls_sc": 50.0},
     {"op": "remove_class", "name": "__root__"},
+    {"op": "update_class", "name": "gold", "sc": 50.0, "rt_sc": 50.0},
+    {"op": "add_class", "name": "x", "parent": "gold", "ls_sc": 50.0},
 ])
 def test_hfsc_reserve_refuses_what_commit_refuses(request_):
     for dry_run in (True, False):

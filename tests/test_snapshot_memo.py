@@ -1,12 +1,13 @@
 """The snapshot row memo: reused rows never change a byte of the envelope.
 
 ``HFSC.snapshot_state`` hands out an idle class's row (and its canonical
-text) again while every object the row was built from is the same
-object, and ``dumps_snapshot`` splices those texts instead of
-re-encoding them.  These tests pin what that must never change: the
-envelope is byte-identical to one encoded in full, every cell of a
-row reaches its text, any class name is safe, and a handed-out row
-cannot be edited behind the text's back.
+text) again while its slot's change stamp has not advanced and the
+row's few non-column objects are the same objects, and
+``dumps_snapshot`` splices those texts instead of re-encoding them.
+These tests pin what that must never change: the envelope is
+byte-identical to one encoded in full, every cell of a row reaches its
+text, any class name is safe, and a handed-out row cannot be edited
+behind the text's back.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core.curves import ServiceCurve
-from repro.core.flatstate import curve_set
+from repro.core.flatstate import curve_clear, curve_set
 from repro.core.hfsc import HFSC, ROOT
 from repro.persist import codec
 from repro.persist.codec import (
@@ -205,7 +206,9 @@ SCALAR_KEYS = ("cumul_rt", "total_work", "bytes_rt", "bytes_ls", "eligible",
 
 def mutations(sched, key):
     """Yield ``(class name, expected row value)`` after each edit of a
-    cell behind ``key``; each edit replaces one object."""
+    cell or object behind ``key``.  Cells are written the ways the
+    scheduler writes them (properties, ``curve_set``, ``curve_clear``),
+    each of which stamps the slot."""
     a = sched["a"]
     if key == "name":
         a.name = "a-renamed"
@@ -240,10 +243,12 @@ def mutations(sched, key):
             curve_set(state, kind, s, 3.0, 4.0, 5.0, 1.0, 2.0)
             yield "a", [1.0, 2.0, 3.0, 4.0, 5.0]
         for field in fields:
-            column = getattr(state, f"{kind}_{field}")
-            column[s] = bumped(column[s])
-            yield "a", [getattr(state, f"{kind}_{f}")[s] for f in fields]
-        getattr(state, f"{kind}_on")[s] = 0
+            cells = {f: getattr(state, f"{kind}_{f}")[s] for f in fields}
+            cells[field] = bumped(cells[field])
+            curve_set(state, kind, s, cells["m1"], cells["dx"], cells["m2"],
+                      cells["x0"], cells["y0"])
+            yield "a", [cells[f] for f in fields]
+        curve_clear(state, kind, s)
         yield "a", None
     else:
         raise AssertionError(f"no mutation for class-document key {key!r}")
