@@ -109,6 +109,7 @@ def _smoke_test(mod) -> None:
     root = state.alloc(_Stub())
     leaf = state.alloc(_Stub())
     state.parent[leaf] = root
+    flatstate.own_heaps(state, root)
     state.ls_m1[leaf] = 100.0
     state.ls_d[leaf] = 0.0
     state.ls_m2[leaf] = 100.0

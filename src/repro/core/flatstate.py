@@ -21,7 +21,8 @@ This module flattens that state into parallel arrays indexed by a dense
   into arrays so the activation kernels never touch spec objects;
 * each parent's active-children virtual-time heaps (the seed's two
   ``IndexedHeap`` instances per interior class) are flat parallel lists
-  ``key/seq/slot`` plus one global position array per side.
+  ``key/seq/slot`` plus one global position array per side; a slot with
+  no children points all six at the shared :data:`EMPTY_HEAP`.
 
 The kernels in this module (:func:`serve_step`, :func:`activate_step`,
 :func:`passivate_ls`, :func:`ls_descend`) re-implement the seed hot path
@@ -74,6 +75,16 @@ _SCALARS = (
 
 _SPECS = ("rt", "es", "ls", "ulsp")
 
+#: The six per-parent sibling-heap columns (one list per slot in each).
+HEAP_LISTS = ("hmin_key", "hmin_seq", "hmin_slot",
+              "hmax_key", "hmax_seq", "hmax_slot")
+
+#: The one list every childless slot's six sibling-heap entries point at.
+#: Only parents are ever pushed into (a slot gets six lists of its own
+#: with its first child, :func:`own_heaps`), so it stays empty; read
+#: paths see an empty heap.  ``HFSC.check_invariants`` asserts both.
+EMPTY_HEAP: List[Any] = []
+
 
 class FlatState:
     """Parallel arrays for every hot per-class quantity, keyed by slot id.
@@ -118,6 +129,7 @@ class FlatState:
         # per-state cache handle for the compiled kernels (a capsule
         # holding the list objects; None until first compiled call)
         "_ccache",
+        "__weakref__",
     )
 
     def __init__(self, capacity: int = 8) -> None:
@@ -206,14 +218,10 @@ class FlatState:
         self.req_d.extend(zeros_d)
         self.efut_pos.extend(minus_l)
         self.erdy_pos.extend(minus_l)
-        for _ in range(count):
-            self.hmin_key.append([])
-            self.hmin_seq.append([])
-            self.hmin_slot.append([])
-            self.hmax_key.append([])
-            self.hmax_seq.append([])
-            self.hmax_slot.append([])
-            self.obj.append(None)
+        no_heap = [EMPTY_HEAP] * count
+        for name in HEAP_LISTS:
+            getattr(self, name).extend(no_heap)
+        self.obj.extend([None] * count)
         self._free.extend(range(self.size + count - 1, self.size - 1, -1))
         self.size += count
 
@@ -252,20 +260,28 @@ class FlatState:
         self.ls_active[slot] = 0
         self.rt_adm[slot] = 1
         self.stamp[slot] = self.epoch[0]
-        self.hmin_key[slot].clear()
-        self.hmin_seq[slot].clear()
-        self.hmin_slot[slot].clear()
+        share_heaps(self, slot)
         self.hmin_pos[slot] = -1
         self.hmin_ctr[slot] = 0
-        self.hmax_key[slot].clear()
-        self.hmax_seq[slot].clear()
-        self.hmax_slot[slot].clear()
         self.hmax_pos[slot] = -1
         self.hmax_ctr[slot] = 0
         self.req_e[slot] = 0.0
         self.req_d[slot] = 0.0
         self.efut_pos[slot] = -1
         self.erdy_pos[slot] = -1
+
+
+def own_heaps(state: FlatState, slot: int) -> None:
+    """Give ``slot`` its own six sibling-heap lists (on its first child)."""
+    if state.hmin_key[slot] is EMPTY_HEAP:
+        for name in HEAP_LISTS:
+            getattr(state, name)[slot] = []
+
+
+def share_heaps(state: FlatState, slot: int) -> None:
+    """Return a childless ``slot``'s (empty) heap lists to :data:`EMPTY_HEAP`."""
+    for name in HEAP_LISTS:
+        getattr(state, name)[slot] = EMPTY_HEAP
 
 
 def touch(state: FlatState, slot: int) -> None:

@@ -38,6 +38,7 @@ Extensions beyond the paper, both off by default and marked in the API:
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from operator import attrgetter
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set
@@ -157,6 +158,23 @@ def _clear_heaps(state: FlatState, parent: int) -> None:
         ctr[parent] = 0
 
 
+def _release(state: FlatState) -> None:
+    """Finalizer of a dropped :class:`HFSC`: cut its class graph's cycles.
+
+    ``state.obj[slot]`` <-> ``cls.state`` and ``parent.children`` <->
+    ``child.parent`` are the only cycles a scheduler holds.  With both
+    cut, reference counting frees the classes, the state, its columns and
+    the queued packets at once, and leaves nothing for the cyclic
+    collector.  A class handle kept past its scheduler still reads its
+    own numbers.
+    """
+    obj = state.obj
+    for cls in obj:
+        if cls is not None:
+            cls.children.clear()
+    obj[:] = [None] * len(obj)
+
+
 def _require_keys(doc: Any, keys: Iterable[Any], what: str) -> None:
     """Strict field check: unknown *and* missing keys are refused."""
     if not isinstance(doc, dict):
@@ -231,6 +249,7 @@ class HFSCClass:
         "_rt_spec",
         "_ls_spec",
         "_ul_spec",
+        "__weakref__",
     )
 
     def __init__(
@@ -255,6 +274,7 @@ class HFSCClass:
         self.slot = state.alloc(self)
         if parent is not None:
             state.parent[self.slot] = parent.slot
+            _flat.own_heaps(state, parent.slot)
         self._rt_spec: Optional[ServiceCurve] = None
         self._ls_spec: Optional[ServiceCurve] = None
         self._ul_spec: Optional[ServiceCurve] = None
@@ -472,6 +492,7 @@ class HFSC(Scheduler):
         #: objects, read-only row, its canonical text) for the idle rows
         #: of the last :meth:`snapshot_state`.
         self._snapshot_rows: Dict[Any, Any] = {}
+        weakref.finalize(self, _release, self._flat).atexit = False
 
     # -- hierarchy construction ---------------------------------------------
 
@@ -613,20 +634,10 @@ class HFSC(Scheduler):
         new_rt = cls.rt_requested if rt_sc is UNCHANGED else rt_sc
         new_ls = cls.ls_spec if ls_sc is UNCHANGED else ls_sc
         new_ul = cls.ul_spec if ul_sc is UNCHANGED else ul_sc
-        if new_ls is None and cls.children:
-            raise ReconfigurationError(
-                f"interior class {name!r} needs a link-sharing curve",
-                operation="update_class", class_id=name, reason="ls-required",
-            )
         if new_rt is None and new_ls is None:
             raise ReconfigurationError(
                 f"class {name!r} needs a service curve",
                 operation="update_class", class_id=name, reason="no-curves",
-            )
-        if new_rt is not None and not cls.is_leaf:
-            raise ReconfigurationError(
-                f"cannot give {name!r} a real-time curve: it has children",
-                operation="update_class", class_id=name, reason="rt-on-interior",
             )
         if new_rt is not cls.rt_requested:
             if cls.rt_requested is not None:
@@ -693,7 +704,9 @@ class HFSC(Scheduler):
 
         Refused: ``sc`` beside ``rt_sc`` or ``ls_sc``; for ``add_class``,
         a child under an existing class with a real-time curve (real-time
-        service applies to leaves only).  An absent curve is None for
+        service applies to leaves only); for ``update_class`` of a class
+        with children, a request that leaves it without a link-sharing
+        curve or gives it a real-time one.  An absent curve is None for
         ``add_class`` and :data:`UNCHANGED` for ``update_class``.  Both
         methods call this, and so does the control plane's reserve
         phase, so the reserve refuses what the commit refuses.
@@ -707,11 +720,28 @@ class HFSC(Scheduler):
             raise ReconfigurationError(
                 message, operation=op, class_id=name, reason="ambiguous-curves",
             )
-        parent_cls = self._classes.get(parent) if add else None
-        if parent_cls is not None and parent_cls.rt_spec is not None:
-            raise ConfigurationError(
-                f"cannot add child to {parent!r}: it has a real-time curve "
-                "(real-time service applies to leaf classes only)"
+        if add:
+            parent_cls = self._classes.get(parent)
+            if parent_cls is not None and parent_cls.rt_spec is not None:
+                raise ConfigurationError(
+                    f"cannot add child to {parent!r}: it has a real-time curve "
+                    "(real-time service applies to leaf classes only)"
+                )
+            return
+        cls = self._classes.get(name)
+        if cls is None or not cls.children:
+            return
+        if sc is not UNCHANGED:
+            rt_sc = ls_sc = sc
+        if (cls.ls_spec if ls_sc is UNCHANGED else ls_sc) is None:
+            raise ReconfigurationError(
+                f"interior class {name!r} needs a link-sharing curve",
+                operation=op, class_id=name, reason="ls-required",
+            )
+        if (cls.rt_requested if rt_sc is UNCHANGED else rt_sc) is not None:
+            raise ReconfigurationError(
+                f"cannot give {name!r} a real-time curve: it has children",
+                operation=op, class_id=name, reason="rt-on-interior",
             )
 
     def set_link_rate(self, rate: float) -> None:
@@ -1038,6 +1068,11 @@ class HFSC(Scheduler):
         """
         state = self._flat
         _flat.elig_check(state)
+        empty_heap = _flat.EMPTY_HEAP
+        assert not empty_heap, "the shared empty sibling heap was pushed into"
+        # own_heaps / share_heaps set all six heap columns of a slot
+        # together, so one of them tells whether the slot owns its lists.
+        hmin_key = state.hmin_key
         rt_enabled = self.realtime_enabled
         total_backlog_packets = 0
         total_backlog_bytes = 0.0
@@ -1053,6 +1088,10 @@ class HFSC(Scheduler):
                     node = node.parent
         rt_demand = RtDemand()
         for cls in self.classes():
+            owns_heaps = hmin_key[cls.slot] is not empty_heap
+            assert owns_heaps == bool(cls.children), (
+                f"{cls.name!r}: owns sibling-heap lists iff it has children"
+            )
             if cls.is_leaf:
                 total_backlog_packets += len(cls.queue)
                 total_backlog_bytes += sum(p.size for p in cls.queue)
@@ -1824,7 +1863,10 @@ class HFSC(Scheduler):
         parent = cls.parent
         assert parent is not None
         parent.children.remove(cls)
+        if not parent.children:
+            _flat.share_heaps(self._flat, parent.slot)
         del self._classes[cls.name]
+        self._snapshot_rows.pop(cls, None)
         if cls.rt_requested is not None:
             self._rt_demand.remove(cls.rt_requested)
         if cls in self._ul_classes:

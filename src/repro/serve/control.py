@@ -41,6 +41,7 @@ import asyncio
 import contextlib
 import json
 import math
+import time
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro import __version__
@@ -186,7 +187,11 @@ class ControlServer:
             writer.close()
 
     def dispatch_line(self, line: bytes) -> str:
+        """Answer one request line; the time it holds the loop is filed
+        under ``dispatch.<op>`` in the service's stall log."""
+        started = time.perf_counter()
         self.requests += 1
+        cause = "dispatch.invalid"
         try:
             if len(line) > MAX_LINE:
                 raise ControlError(_TOO_LONG)
@@ -196,13 +201,17 @@ class ControlServer:
                 raise ControlError(f"request is not JSON: {exc}") from None
             if not isinstance(request, dict) or "op" not in request:
                 raise ControlError('request must be an object with an "op" key')
-            result = self.dispatch(request)
+            handler = self._handler(request["op"])
+            cause = "dispatch." + handler.__name__[len("op_"):]
+            result = handler(request)
             if isinstance(result, _Encoded):
                 # What json.dumps would write around it, separators included.
                 return '{"ok": true, "result": ' + result + "}"
             return json.dumps({"ok": True, "result": result})
         except ReproError as exc:
             return self._error_reply(exc)
+        finally:
+            self.service.stalls.record(cause, time.perf_counter() - started)
 
     def _error_reply(self, exc: ReproError) -> str:
         self.errors += 1
@@ -217,12 +226,11 @@ class ControlServer:
 
     # -- dispatch -----------------------------------------------------------
 
-    def dispatch(self, request: Dict[str, Any]) -> Any:
-        op = request["op"]
+    def _handler(self, op: Any) -> Callable[[Dict[str, Any]], Any]:
         handler = getattr(self, "op_" + str(op).replace("-", "_"), None)
         if handler is None:
             raise ControlError(f"unknown op {op!r}")
-        return handler(request)
+        return handler
 
     def _require(self, request: Dict[str, Any], key: str) -> Any:
         if key not in request:

@@ -39,10 +39,14 @@ pytestmark = pytest.mark.skipif(
 LINK = 10_000.0
 
 
+#: Every FlatState field (the weak-reference slot is not state).
+FIELDS = tuple(name for name in FlatState.__slots__ if name != "__weakref__")
+
+
 def clone(state: FlatState) -> FlatState:
     """A deep copy the compiled kernels treat as a separate state."""
     twin = FlatState.__new__(FlatState)
-    for name in FlatState.__slots__:
+    for name in FIELDS:
         value = getattr(state, name)
         if isinstance(value, list):
             value = [list(v) if isinstance(v, list) else v for v in value]
@@ -60,7 +64,7 @@ def bits(value):
 
 
 def first_difference(a: FlatState, b: FlatState):
-    for name in FlatState.__slots__:
+    for name in FIELDS:
         if name == "_ccache":
             continue
         if bits(getattr(a, name)) != bits(getattr(b, name)):

@@ -308,10 +308,15 @@ def test_reserve_and_commit_agree_on_every_backend(backend, op):
     {"op": "remove_class", "name": "__root__"},
     {"op": "update_class", "name": "gold", "sc": 50.0, "rt_sc": 50.0},
     {"op": "add_class", "name": "x", "parent": "gold", "ls_sc": 50.0},
+    # "cmu" is an interior class of the e4 preset.
+    {"op": "update_class", "name": "cmu", "rt_sc": 2.0},
+    {"op": "update_class", "name": "cmu", "rt_sc": 2.0, "ls_sc": None},
 ])
 def test_hfsc_reserve_refuses_what_commit_refuses(request_):
+    preset = "e4" if request_["name"] == "cmu" else "split"
     for dry_run in (True, False):
-        server = ControlServer(make_service())
+        server = ControlServer(
+            make_service(specs=hierarchy_preset(preset, 1000.0)))
         assert err(server, dict(request_, dry_run=dry_run))
 
 
@@ -339,6 +344,31 @@ def test_rate_backend_refuses_bad_class_rates(text):
     rows = {r["name"]: r for r in ok(server, {"op": "classes"})}
     assert set(rows) == {"gold", "bronze"}
     assert rows["gold"]["rate"] == pytest.approx(600.0)
+
+
+def test_info_stalls_name_each_cause():
+    """Each control op is timed under its name, a line that names no op
+    under ``dispatch.invalid``, and collections under their generation
+    while the watch is on."""
+    import gc
+
+    svc = make_service()
+    server = ControlServer(svc)
+    ok(server, {"op": "ping"})
+    ok(server, {"op": "ping"})
+    err(server, {"op": "no_such_op"})
+    with svc.stalls.watch_gc():
+        gc.collect()
+        gc.collect(0)
+    gc.collect()  # unwatched
+    assert svc.stalls._on_gc not in gc.callbacks
+    causes = ok(server, {"op": "info"})["stalls"]
+    assert set(causes) == {"dispatch.ping", "dispatch.invalid", "gc0", "gc2"}
+    assert causes["dispatch.ping"]["count"] == 2
+    assert causes["dispatch.invalid"]["count"] == 1
+    assert causes["gc2"]["count"] == 1
+    for cause in causes.values():
+        assert 0.0 < cause["p99_ms"] <= cause["max_ms"]
 
 
 class TestLifecycleOps:
